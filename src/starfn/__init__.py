@@ -1,15 +1,20 @@
 """Star functions of meromorphic functions in several complex variables.
 
-The package is organized bottom-up:
+The package is organized bottom-up; each module uses the modules listed
+before it, only through their public names, and one slice engine serves a
+single direction and a whole sample alike (a single slice is a batch of one):
 
 - ``funcdef``: sparse polynomials, rational F = G/H with F(0) = 1, parsing.
-- ``slicing``: restriction to complex lines, slice divisors, counting
-  functions, the Jensen-identity residual.
-- ``starcore``: the circular rearrangement T* of a single slice.
+- ``slicing``: restriction to complex lines as batched primitives
+  (substitution, roots, circle evaluation, the indeterminacy rule, counting
+  functions), slice divisors and the Jensen-identity residual.
+- ``starcore``: the circular rearrangement T* (sort, prefix sums, bathtub
+  lookup) and the single-slice star.
 - ``sphere``: Monte Carlo averages of T* and the counting data over the
-  sphere of directions, plus the discrete subharmonicity check.
+  sphere of directions, and the mean-value stencil of the subharmonicity
+  check.
 - ``harmonicform``: detection of F(Z) = P(Z . eta), canonical-product Taylor
-  data, and the slice-harmonicity test.
+  data, and the slice-harmonicity test on the same stencil.
 - ``cli``: the ``starfn`` command.
 """
 

@@ -14,10 +14,10 @@ over-tolerance residual, or a negative detection), 2 usage/parse errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .funcdef import MeroFunction, load_function
 from .harmonicform import (
@@ -43,7 +43,7 @@ from .starcore import slice_star_total
 __all__ = ["RunConfig", "run", "export_grid", "load_grid", "main"]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated invocation: one command plus every knob it may need."""
 
@@ -116,13 +116,7 @@ def _grid_payload(grid: StarGrid) -> dict:
     return {
         "r_values": list(grid.r_values),
         "theta_values": list(grid.theta_values),
-        "cells": [
-            [
-                {"mean": c.mean, "stderr": c.stderr, "count_used": c.count_used}
-                for c in row
-            ]
-            for row in grid.cells
-        ],
+        "cells": [[dataclasses.asdict(c) for c in row] for row in grid.cells],
         "sample": {
             "n": grid.sample.n,
             "seed": grid.sample.seed,
@@ -198,15 +192,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.command == "slice-star":
         F = _load_fn(cfg)
         val = slice_star_total(F, _zeta_direction(cfg), cfg.r, cfg.theta, M=cfg.circle)
-        _emit(
-            {
-                "r": val.r,
-                "theta": val.theta,
-                "fstar": val.fstar,
-                "big_N_inf": val.big_N_inf,
-                "total": val.total,
-            }
-        )
+        _emit(dataclasses.asdict(val))
         return 0
 
     if cfg.command in ("star", "counting", "lelong"):
@@ -218,14 +204,7 @@ def run(cfg: RunConfig) -> int:
             est = counting_several(F, cfg.r, cfg.a, sample)
         else:
             est = lelong_number(F, cfg.t, cfg.a, sample)
-        _emit(
-            {
-                "mean": est.mean,
-                "stderr": est.stderr,
-                "count_used": est.count_used,
-                "skipped": sample.count - est.count_used,
-            }
-        )
+        _emit({**dataclasses.asdict(est), "skipped": sample.count - est.count_used})
         return 0
 
     if cfg.command == "grid":
@@ -316,14 +295,7 @@ def run(cfg: RunConfig) -> int:
             raise ValueError("product-taylor needs --product")
         cp = load_canonical_product(cfg.product_path)
         tc = product_taylor_coeffs(cp, cfg.order)
-        _emit(
-            {
-                "K": tc.K,
-                "coeffs": [_complex_pair(c) for c in tc.coeffs],
-                "c_sums": list(tc.c_sums),
-                "d_values": list(tc.d_values),
-            }
-        )
+        _emit({**dataclasses.asdict(tc), "coeffs": [_complex_pair(c) for c in tc.coeffs]})
         return 0
 
     raise ValueError(f"unknown command {cfg.command!r}")
@@ -419,29 +391,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if command == "check":
         command = f"check-{args.check_kind}"
     fields = {}
-    for name in (
-        "fn_path",
-        "r",
-        "theta",
-        "t",
-        "r_min",
-        "r_max",
-        "r_steps",
-        "theta_min",
-        "theta_max",
-        "theta_steps",
-        "samples",
-        "circle",
-        "seed",
-        "tol",
-        "rho",
-        "circle_nodes",
-        "order",
-        "product_path",
-        "out",
-        "fmt",
-    ):
-        if getattr(args, name, None) is not None:
+    for name in (f.name for f in dataclasses.fields(RunConfig)):
+        if name not in ("command", "zeta", "a") and getattr(args, name, None) is not None:
             fields[name] = getattr(args, name)
     if getattr(args, "zeta", None) is not None:
         fields["zeta"] = _parse_zeta(args.zeta)

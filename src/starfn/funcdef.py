@@ -23,7 +23,6 @@ __all__ = [
     "NormalizationError",
     "parse_poly",
     "parse_function",
-    "eval_poly",
     "homogeneous_parts",
     "poly_to_text",
     "function_to_text",
@@ -204,11 +203,6 @@ class MultiPoly:
 
     def __str__(self) -> str:
         return poly_to_text(self)
-
-
-def eval_poly(p: MultiPoly, Z: Sequence[complex]) -> complex:
-    """Value of p at the point Z (deterministic summation order)."""
-    return p.eval(Z)
 
 
 def linear_form(eta: Sequence[complex], n: int | None = None) -> MultiPoly:

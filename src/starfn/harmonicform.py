@@ -32,9 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .funcdef import MeroFunction, MultiPoly, homogeneous_parts
-from .slicing import Direction
-from .sphere import _default_rho
-from .starcore import slice_star_total
+from .slicing import Direction, horner_rows, slice_divisor
+from .sphere import mean_value_differences
+from .starcore import bathtub, divisor_samples
 
 __all__ = [
     "CanonicalProduct",
@@ -333,12 +333,14 @@ def verify_harmonic_form(
 ) -> float:
     """Max of |F(Z) - P(Z.eta)| / (1 + |F(Z)|) over random polydisk points.
 
-    Points landing on (numerical) poles of F are resampled with a bounded
-    retry budget.
+    P is the rational function num/den that ``detect_harmonic_form`` splits
+    from the profile (den = 1 when F is a polynomial).  Points landing on
+    (numerical) poles of F are resampled with a bounded retry budget.
     """
+    num, den = _pade_split(form.profile, F.numerator.degree(), F.denominator.degree())
     rng = np.random.default_rng(seed)
     n = F.n
-    worst = 0.0
+    u_vals, f_vals = [], []
     for _ in range(trials):
         for _attempt in range(100):
             radii = radius * np.sqrt(rng.uniform(size=n))
@@ -348,13 +350,12 @@ def verify_harmonic_form(
                 break
         else:
             raise RuntimeError("could not sample away from the poles of F")
-        u = sum(z * e for z, e in zip(Z, form.eta))
-        p_val = 0j
-        for c in reversed(form.profile):
-            p_val = p_val * u + c
-        f_val = F.eval(Z)
-        worst = max(worst, abs(f_val - p_val) / (1.0 + abs(f_val)))
-    return worst
+        u_vals.append(sum(z * e for z, e in zip(Z, form.eta)))
+        f_vals.append(F.eval(Z))
+    u = np.array(u_vals, dtype=complex)
+    f = np.array(f_vals, dtype=complex)
+    p = horner_rows(num[None, :], u)[0] / horner_rows(den[None, :], u)[0]
+    return float((np.abs(f - p) / (1.0 + np.abs(f))).max(initial=0.0))
 
 
 def slice_harmonicity_test(
@@ -371,27 +372,16 @@ def slice_harmonicity_test(
 
     True iff |circle mean - center| <= tol at every interior grid point.
     The subharmonic inequality always holds; equality at every point is the
-    signature of a harmonic slice.
+    signature of a harmonic slice.  This is the stencil of
+    ``subharmonicity_stats`` on the one direction zeta: the divisor is built
+    once, and each node radius costs one circle evaluation and one sort.
     """
-    r_values = tuple(float(r) for r in r_values)
-    theta_values = tuple(float(t) for t in theta_values)
-    if len(r_values) < 3 or len(theta_values) < 3:
-        raise ValueError("need at least a 3x3 grid for interior points")
-    if rho is None:
-        rho = _default_rho(r_values, theta_values)
-    psi = 2.0 * math.pi * np.arange(circle_nodes) / circle_nodes
-    for i in range(1, len(r_values) - 1):
-        offsets = r_values[i] + rho * np.exp(1j * psi)
-        radii = np.abs(offsets)
-        alphas = np.angle(offsets)
-        for j in range(1, len(theta_values) - 1):
-            r0, th0 = r_values[i], theta_values[j]
-            if r0 * math.sin(th0) <= rho:
-                raise ValueError("test disk leaves the upper half-plane")
-            center = slice_star_total(F, zeta, r0, th0, M=M).total
-            ring = 0.0
-            for R, al in zip(radii, alphas):
-                ring += slice_star_total(F, zeta, float(R), th0 + float(al), M=M).total
-            if abs(ring / circle_nodes - center) > tol:
-                return False
-    return True
+    div = slice_divisor(F, zeta)
+
+    def totals(radius: float, thetas: list[float]) -> np.ndarray:
+        prof = divisor_samples(div, radius, M).profile
+        fstar = bathtub(prof.sorted_values, prof.prefix_sums, thetas)
+        return (fstar + div.big_N(radius, math.inf))[:, None]
+
+    diffs = mean_value_differences(r_values, theta_values, rho, circle_nodes, totals, 1)
+    return bool(np.all(np.abs(diffs) <= tol))

@@ -2,22 +2,30 @@
 
 A direction zeta on the unit sphere turns F = G/H into a rational function of
 one variable with numerator g(z) = G(z*zeta) and denominator h(z) = H(z*zeta).
-This module locates slice zeros/poles, cancels common roots (a shared root is
-a removable factor of the slice, not an a-point), and evaluates
+This module holds the slice engine that the single-slice API and the sphere
+averages share.  Its primitives work on a batch of directions, one row each:
+substitution (``slice_coefficients``), roots (``batched_roots``), circle
+evaluation (``horner_rows``, ``circle_log_values``), the indeterminacy rule
+(``root_separation``) and the counting functions (``big_N_rows``,
+``small_n_rows``)
 
     n(t, a)  —  number of a-points with |z| <= t, with multiplicity,
     N(r, a)  =  integral of n(t,a)/t from 0 to r
-             =  sum of m_j * log(r / |z_j|) over |z_j| <= r   (exact form),
+             =  sum of m_j * log(r / |z_j|) over |z_j| <= r   (exact form).
 
-plus a Jensen-identity residual used as a global consistency check:
-N(r,0) - N(r,inf) equals the circle mean of log|F(r e^{ix} zeta)|.
+The single-slice API runs them on a batch of one.  ``slice_divisor`` cancels
+common roots (a shared root is a removable factor of the slice, not an
+a-point); the sphere averages skip such directions instead.  The Jensen
+residual is a global consistency check: N(r,0) - N(r,inf) equals the circle
+mean of log|F(r e^{ix} zeta)|.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +33,7 @@ import numpy as np
 from .funcdef import MeroFunction, MultiPoly
 
 __all__ = [
+    "INDETERMINACY_TOL",
     "Direction",
     "UniPoly",
     "SlicePair",
@@ -45,12 +54,15 @@ __all__ = [
 
 #: relative clustering tolerance for merging nearly-equal roots
 CLUSTER_TOL = 1e-8
-#: default tolerance for declaring a g-root and an h-root "common"
-CANCEL_TOL = 1e-9
+#: a slice is indeterminate when a clustered g-root and a clustered h-root lie
+#: within this distance: single-slice queries cancel the pair, sphere averages
+#: skip the direction
+INDETERMINACY_TOL = 1e-9
 #: leading coefficients below this relative size are noise from collection
 LEADING_TRIM = 1e-13
 
 _NORM_TOL = 1e-14
+_EPS = float(np.finfo(float).eps)
 
 
 class RootFindingError(RuntimeError):
@@ -88,6 +100,201 @@ class Direction:
         return len(self.components)
 
 
+# ---------------------------------------------------------------------------
+# batched slice primitives
+
+
+def slice_coefficients(p: MultiPoly, dirs: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of p(z * zeta), one row per row zeta of dirs.
+
+    Each product is w * power of two named arrays: numpy multiplies a
+    one-element array in place with another complex loop, and may swap the
+    operands of a product with a temporary; either changes the rounding, and
+    a batch of one must give the bits of the same row in a larger batch.
+    """
+    count = dirs.shape[0]
+    out = np.zeros((count, p.degree() + 1), dtype=complex)
+    for exp, c in p.ordered_terms():
+        w = np.full(count, c, dtype=complex)
+        for j, e in enumerate(exp):
+            if e:
+                power = dirs[:, j] ** e
+                w = w * power
+        out[:, sum(exp)] += w
+    return out
+
+
+def batched_roots(coef: np.ndarray) -> np.ndarray:
+    """Roots of each row (ascending coefficients); NaN-padded to max degree.
+
+    Leading coefficients at or below LEADING_TRIM times the row's largest
+    are collection noise and dropped; rows are grouped by the degree left.
+    """
+    count, width = coef.shape
+    D = width - 1
+    roots = np.full((count, D), np.nan, dtype=complex)
+    mags = np.abs(coef)
+    significant = mags > (LEADING_TRIM * mags.max(axis=1))[:, None]
+    eff = width - 1 - np.argmax(significant[:, ::-1], axis=1)
+    for d in sorted(set(eff.tolist())):
+        idx = np.nonzero(eff == d)[0]
+        if d == 0:
+            continue
+        if d == 1:
+            roots[idx, 0] = -coef[idx, 0] / coef[idx, 1]
+            continue
+        monic = coef[idx, :d] / coef[idx, d][:, None]
+        comp = np.zeros((idx.size, d, d), dtype=complex)
+        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        comp[:, :, -1] = -monic
+        try:
+            roots[idx, :d] = np.linalg.eigvals(comp)
+        except np.linalg.LinAlgError as exc:
+            raise RootFindingError(f"root iteration did not converge: {exc}") from exc
+    return roots
+
+
+def horner_rows(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each row of ascending coefficients evaluated at the points w."""
+    acc = np.empty((coef.shape[0], w.size), dtype=complex)
+    acc[:] = coef[:, -1:]
+    for k in range(coef.shape[1] - 2, -1, -1):
+        acc *= w
+        acc += coef[:, k : k + 1]
+    return acc
+
+
+def circle_log_values(g_coef: np.ndarray, h_coef: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """log|g(w)| - log|h(w)| row by row: -inf at a zero, +inf at a pole and
+    NaN at a common zero of g and h (see starcore.sanitize_log_values)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.log(np.abs(horner_rows(g_coef, w)))
+        vals -= np.log(np.abs(horner_rows(h_coef, w)))
+    return vals
+
+
+def log_moduli(roots: np.ndarray) -> np.ndarray:
+    """log|z| of NaN-padded roots, with +inf for the padding."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lm = np.log(np.abs(roots))
+    return np.where(np.isnan(lm), np.inf, lm)
+
+
+def a_points(a: float, zeros, poles):
+    """The a-points of a slice: its zeros for a = 0, its poles for a = inf."""
+    if a == 0:
+        return zeros
+    if math.isinf(a):
+        return poles
+    raise ValueError("target a must be 0 or inf")
+
+
+def big_N_rows(logroots: np.ndarray, r: float) -> np.ndarray:
+    """N(r) per row: sum of log(r/|z_j|) over the roots inside |z| <= r."""
+    return np.maximum(math.log(r) - logroots, 0.0).sum(axis=1)
+
+
+def small_n_rows(logroots: np.ndarray, t: float) -> np.ndarray:
+    """n(t) per row: the number of roots with |z| <= t."""
+    return (logroots <= math.log(t)).sum(axis=1).astype(float)
+
+
+def _cluster(roots: np.ndarray) -> list[tuple[complex, int]]:
+    """Merge root approximations into (location, multiplicity) clusters.
+
+    Pass 1 is plain union-find at CLUSTER_TOL*(1+|z|).  Pass 2 re-merges
+    cluster pairs whose distance fits the scatter of an m-fold root: an
+    m-multiple root computed in double precision splits by about eps^(1/m)
+    (e.g. ~1e-8 for a double root), which exceeds the base tolerance, so a
+    combined cluster of size m = mi+mj is accepted within
+    8*(1+|z|)*eps^(1/m).
+    """
+    roots = [complex(z) for z in roots]
+    k = len(roots)
+    parent = list(range(k))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(k):
+        for j in range(i + 1, k):
+            tol = CLUSTER_TOL * (1.0 + max(abs(roots[i]), abs(roots[j])))
+            if abs(roots[i] - roots[j]) <= tol:
+                pi, pj = find(i), find(j)
+                if pi != pj:
+                    parent[pj] = pi
+    groups: dict[int, list[complex]] = {}
+    for i in range(k):
+        groups.setdefault(find(i), []).append(roots[i])
+    clusters = [(sum(g) / len(g), len(g)) for g in groups.values()]
+
+    changed = True
+    while changed and len(clusters) > 1:
+        changed = False
+        merged: list[tuple[complex, int]] = []
+        used = [False] * len(clusters)
+        for i in range(len(clusters)):
+            if used[i]:
+                continue
+            zi, mi = clusters[i]
+            for j in range(i + 1, len(clusters)):
+                if used[j]:
+                    continue
+                zj, mj = clusters[j]
+                m = mi + mj
+                tol = 8.0 * (1.0 + max(abs(zi), abs(zj))) * _EPS ** (1.0 / m)
+                if abs(zi - zj) <= tol:
+                    zi = (zi * mi + zj * mj) / m
+                    mi = m
+                    used[j] = True
+                    changed = True
+            merged.append((zi, mi))
+            used[i] = True
+        clusters = merged
+
+    clusters.sort(key=lambda zm: (abs(zm[0]), zm[0].real, zm[0].imag))
+    return clusters
+
+
+def _may_merge(roots: np.ndarray) -> np.ndarray:
+    """Rows in which _cluster could merge two roots: its first merge always
+    joins two raw roots within 8*(1+|z|)*sqrt(eps) (checked here with twice
+    that), so any other row clusters into its raw roots unchanged."""
+    mod = np.abs(roots)
+    close = np.zeros(roots.shape[0], dtype=bool)
+    for i, j in combinations(range(roots.shape[1]), 2):  # NaN padding is never close
+        reach = 16.0 * math.sqrt(_EPS) * (1.0 + np.maximum(mod[:, i], mod[:, j]))
+        close |= np.abs(roots[:, i] - roots[:, j]) <= reach
+    return close
+
+
+def root_separation(g_roots: np.ndarray, h_roots: np.ndarray) -> np.ndarray:
+    """Per row, the least distance between a clustered g-root and h-root.
+
+    Rows hold NaN-padded raw roots as batched_roots returns them; +inf where
+    either side has none.  A row whose raw roots _cluster would leave alone
+    is measured on the raw roots, which are then its clusters; only the
+    rows where a merge is possible are clustered, one by one.
+    """
+    count = g_roots.shape[0]
+    sep = np.full(count, np.inf)
+    if g_roots.shape[1] and h_roots.shape[1]:
+        dist = np.abs(g_roots[:, :, None] - h_roots[:, None, :]).reshape(count, -1)
+        sep = np.where(np.isnan(dist), np.inf, dist).min(axis=1)
+    for i in np.nonzero(_may_merge(g_roots) | _may_merge(h_roots))[0]:
+        gc = _cluster(g_roots[i][~np.isnan(g_roots[i])])
+        hc = _cluster(h_roots[i][~np.isnan(h_roots[i])])
+        sep[i] = min((abs(zg - zh) for zg, _ in gc for zh, _ in hc), default=math.inf)
+    return sep
+
+
+# ---------------------------------------------------------------------------
+# single-slice views
+
+
 @dataclass(frozen=True)
 class UniPoly:
     """Univariate polynomial, coefficients in ascending degree.
@@ -117,19 +324,18 @@ class UniPoly:
             raise ValueError("degree of the zero polynomial")
         return len(self.coeffs) - 1
 
+    @cached_property
+    def row(self) -> np.ndarray:
+        """The coefficients as a one-row batch, shape (1, degree + 1)."""
+        row = np.array([self.coeffs or (0j,)], dtype=complex)
+        row.setflags(write=False)
+        return row
+
     def __call__(self, z):
         """Horner evaluation; accepts scalars or numpy arrays."""
-        if self.is_zero:
-            return np.zeros_like(z) if isinstance(z, np.ndarray) else 0j
-        if isinstance(z, np.ndarray):
-            acc = np.full(z.shape, self.coeffs[-1], dtype=complex)
-            for c in reversed(self.coeffs[:-1]):
-                acc = acc * z + c
-            return acc
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * z + c
-        return acc
+        pts = np.asarray(z, dtype=complex)
+        vals = horner_rows(self.row, pts.reshape(-1))[0].reshape(pts.shape)
+        return vals if isinstance(z, np.ndarray) else complex(vals)
 
 
 @dataclass(frozen=True)
@@ -191,97 +397,27 @@ class SliceDivisor:
     poles: tuple[tuple[complex, int], ...]
     cancelled: tuple[tuple[complex, complex, int], ...]
 
+    def logroots(self, a: float) -> np.ndarray:
+        """log|z| of the a-points (zeros for a = 0, poles for a = inf), one
+        entry per unit of multiplicity, as a one-row batch."""
+        flat = [z for z, m in a_points(a, self.zeros, self.poles) for _ in range(m)]
+        return log_moduli(np.array(flat, dtype=complex).reshape(1, -1))
+
+    def big_N(self, r: float, a: float) -> float:
+        return float(big_N_rows(self.logroots(a), r)[0])
+
+    def small_n(self, t: float, a: float) -> int:
+        return int(small_n_rows(self.logroots(a), t)[0])
+
 
 def make_slice(F: MeroFunction, zeta: Direction) -> SlicePair:
     """Restrict F to the complex line {z * zeta}."""
     if zeta.n != F.n:
         raise ValueError("direction dimension does not match F")
-    g = _substitute(F.numerator, zeta.components)
-    h = _substitute(F.denominator, zeta.components)
-    return SlicePair(direction=zeta, g=g, h=h)
-
-
-def _substitute(p: MultiPoly, comps: tuple[complex, ...]) -> UniPoly:
-    out = [0j] * (p.degree() + 1)
-    for exp, c in p.ordered_terms():
-        w = c
-        for comp, e in zip(comps, exp):
-            if e:
-                w *= comp ** e
-        out[sum(exp)] += w
-    return UniPoly(tuple(out))
-
-
-def _effective_coeffs(u: UniPoly) -> tuple[complex, ...]:
-    """Strip leading coefficients that are collection noise."""
-    coeffs = u.coeffs
-    top = max(abs(c) for c in coeffs)
-    k = len(coeffs)
-    while k > 1 and abs(coeffs[k - 1]) <= LEADING_TRIM * top:
-        k -= 1
-    return coeffs[:k]
-
-
-_EPS = float(np.finfo(float).eps)
-
-
-def _cluster(roots: np.ndarray) -> list[tuple[complex, int]]:
-    """Merge root approximations into (location, multiplicity) clusters.
-
-    Pass 1 is plain union-find at CLUSTER_TOL*(1+|z|).  Pass 2 re-merges
-    cluster pairs whose distance fits the scatter of an m-fold root: an
-    m-multiple root computed in double precision splits by about eps^(1/m)
-    (e.g. ~1e-8 for a double root), which exceeds the base tolerance, so a
-    combined cluster of size m = mi+mj is accepted within
-    8*(1+|z|)*eps^(1/m).
-    """
-    k = len(roots)
-    parent = list(range(k))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            tol = CLUSTER_TOL * (1.0 + max(abs(roots[i]), abs(roots[j])))
-            if abs(roots[i] - roots[j]) <= tol:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pj] = pi
-    groups: dict[int, list[complex]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(complex(roots[i]))
-    clusters = [(sum(g) / len(g), len(g)) for g in groups.values()]
-
-    changed = True
-    while changed and len(clusters) > 1:
-        changed = False
-        merged: list[tuple[complex, int]] = []
-        used = [False] * len(clusters)
-        for i in range(len(clusters)):
-            if used[i]:
-                continue
-            zi, mi = clusters[i]
-            for j in range(i + 1, len(clusters)):
-                if used[j]:
-                    continue
-                zj, mj = clusters[j]
-                m = mi + mj
-                tol = 8.0 * (1.0 + max(abs(zi), abs(zj))) * _EPS ** (1.0 / m)
-                if abs(zi - zj) <= tol:
-                    zi = (zi * mi + zj * mj) / m
-                    mi = m
-                    used[j] = True
-                    changed = True
-            merged.append((zi, mi))
-            used[i] = True
-        clusters = merged
-
-    clusters.sort(key=lambda zm: (abs(zm[0]), zm[0].real, zm[0].imag))
-    return clusters
+    dirs = np.array([zeta.components], dtype=complex)
+    g = slice_coefficients(F.numerator, dirs)[0]
+    h = slice_coefficients(F.denominator, dirs)[0]
+    return SlicePair(direction=zeta, g=UniPoly(tuple(g)), h=UniPoly(tuple(h)))
 
 
 def roots_in_disk(u: UniPoly, t: float) -> RootSet:
@@ -290,19 +426,15 @@ def roots_in_disk(u: UniPoly, t: float) -> RootSet:
         raise ValueError("roots of the zero polynomial are undefined")
     if t < 0:
         raise ValueError("disk radius must be nonnegative")
-    coeffs = _effective_coeffs(u)
-    if len(coeffs) == 1:
+    raw = batched_roots(u.row)[0]
+    clusters = [(z, m) for z, m in _cluster(raw[~np.isnan(raw)]) if abs(z) <= t]
+    if not clusters:
         return RootSet(roots=(), residual_bound=0.0)
-    try:
-        raw = np.roots(np.asarray(coeffs[::-1], dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise RootFindingError(f"root iteration did not converge: {exc}") from exc
-    clusters = [(z, m) for z, m in _cluster(raw) if abs(z) <= t]
-    residual = max((abs(complex(u(z))) for z, _ in clusters), default=0.0)
+    residual = np.abs(u(np.array([z for z, _ in clusters]))).max()
     return RootSet(roots=tuple(clusters), residual_bound=float(residual))
 
 
-def slice_divisor(F: MeroFunction, zeta: Direction, tol: float = CANCEL_TOL) -> SliceDivisor:
+def slice_divisor(F: MeroFunction, zeta: Direction, tol: float = INDETERMINACY_TOL) -> SliceDivisor:
     """Slice zeros and poles with common g/h roots cancelled in pairs."""
     pair = make_slice(F, zeta)
     gset = roots_in_disk(pair.g, math.inf)
@@ -331,32 +463,18 @@ def slice_divisor(F: MeroFunction, zeta: Direction, tol: float = CANCEL_TOL) -> 
     )
 
 
-def _points_for(div: SliceDivisor, a: float) -> tuple[tuple[complex, int], ...]:
-    if a == 0:
-        return div.zeros
-    if math.isinf(a):
-        return div.poles
-    raise ValueError("target a must be 0 or inf")
-
-
 def counting_small_n(F: MeroFunction, zeta: Direction, t: float, a: float) -> int:
     """n(t, a; F_zeta): a-points with |z| <= t, counted with multiplicity."""
     if t <= 0:
         raise ValueError("t must be positive")
-    div = slice_divisor(F, zeta)
-    return sum(m for z, m in _points_for(div, a) if abs(z) <= t)
+    return slice_divisor(F, zeta).small_n(t, a)
 
 
 def counting_big_N(F: MeroFunction, zeta: Direction, r: float, a: float) -> float:
     """N(r, a; F_zeta) = sum of m_j log(r/|z_j|) over a-points in |z| <= r."""
     if r <= 0:
         raise ValueError("r must be positive")
-    div = slice_divisor(F, zeta)
-    return _big_N_from_points(_points_for(div, a), r)
-
-
-def _big_N_from_points(points: Sequence[tuple[complex, int]], r: float) -> float:
-    return float(sum(m * math.log(r / abs(z)) for z, m in points if abs(z) <= r))
+    return slice_divisor(F, zeta).big_N(r, a)
 
 
 def counting_record(F: MeroFunction, zeta: Direction, r: float, a: float) -> CountingRecord:
@@ -364,14 +482,7 @@ def counting_record(F: MeroFunction, zeta: Direction, r: float, a: float) -> Cou
     if r <= 0:
         raise ValueError("r must be positive")
     div = slice_divisor(F, zeta)
-    pts = _points_for(div, a)
-    inside = [(z, m) for z, m in pts if abs(z) <= r]
-    return CountingRecord(
-        r=float(r),
-        a=float(a),
-        small_n=sum(m for _, m in inside),
-        big_N=_big_N_from_points(inside, r),
-    )
+    return CountingRecord(r=float(r), a=float(a), small_n=div.small_n(r, a), big_N=div.big_N(r, a))
 
 
 def midpoint_angles(M: int) -> np.ndarray:
@@ -381,6 +492,14 @@ def midpoint_angles(M: int) -> np.ndarray:
     return -math.pi + (np.arange(M) + 0.5) * (2.0 * math.pi / M)
 
 
+@lru_cache(maxsize=4)
+def unit_nodes(M: int) -> np.ndarray:
+    """e^{ix} at the M midpoint angles, read-only and cached per M."""
+    w = np.exp(1j * midpoint_angles(M))
+    w.setflags(write=False)
+    return w
+
+
 def jensen_residual(F: MeroFunction, zeta: Direction, r: float, M: int) -> float:
     """|N(r,0) - N(r,inf) - circle mean of log|F|| with M midpoint nodes."""
     if r <= 0:
@@ -388,30 +507,28 @@ def jensen_residual(F: MeroFunction, zeta: Direction, r: float, M: int) -> float
     if M < 16:
         raise ValueError("M must be at least 16")
     div = slice_divisor(F, zeta)
-    for rs in (roots_in_disk(div.pair.g, math.inf), roots_in_disk(div.pair.h, math.inf)):
-        for z, _ in rs.roots:
-            if abs(abs(z) - r) < 1e-3 * r:
-                raise CircleProximityError(
-                    f"root at |z|={abs(z):.6g} within 1e-3*r of the circle r={r}"
-                )
-    lhs = _big_N_from_points(div.zeros, r) - _big_N_from_points(div.poles, r)
-    w = r * np.exp(1j * midpoint_angles(M))
-    vals = np.log(np.abs(div.pair.g(w))) - np.log(np.abs(div.pair.h(w)))
+    roots = [z for z, _ in div.zeros + div.poles]
+    roots += [z for zg, zh, _ in div.cancelled for z in (zg, zh)]
+    for z in roots:
+        if abs(abs(z) - r) < 1e-3 * r:
+            raise CircleProximityError(
+                f"root at |z|={abs(z):.6g} within 1e-3*r of the circle r={r}"
+            )
+    lhs = div.big_N(r, 0) - div.big_N(r, math.inf)
+    w = r * unit_nodes(M)
+    vals = circle_log_values(div.pair.g.row, div.pair.h.row, w)[0]
     return float(abs(lhs - vals.mean()))
 
 
 def indeterminacy_test(
-    F: MeroFunction, zeta: Direction, tol: float = CANCEL_TOL
+    F: MeroFunction, zeta: Direction, tol: float = INDETERMINACY_TOL
 ) -> tuple[bool, float]:
     """Does the slice share a zero of g and h within tol?
 
     Returns (flag, separation): separation is the minimum distance between a
     g-root and an h-root (clustered locations), +inf if either set is empty.
+    The sphere averages skip exactly the directions this flags.
     """
     pair = make_slice(F, zeta)
-    gset = roots_in_disk(pair.g, math.inf)
-    hset = roots_in_disk(pair.h, math.inf)
-    if not gset.roots or not hset.roots:
-        return False, math.inf
-    sep = min(abs(zg - zh) for zg, _ in gset.roots for zh, _ in hset.roots)
-    return sep <= tol, float(sep)
+    sep = float(root_separation(batched_roots(pair.g.row), batched_roots(pair.h.row))[0])
+    return sep <= tol, sep

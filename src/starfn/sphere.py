@@ -6,17 +6,15 @@ the unit sphere,
     T*(re^{i theta}, F) = mean over zeta of T*(re^{i theta}, F_zeta),
 
 estimated by Monte Carlo with directions drawn uniformly on S^{2n-1}
-(normalized 2n-dimensional Gaussians).  Directions whose slice is
-near-indeterminate (a numerator and a denominator root within 1e-9) are
-skipped and counted — that set has measure zero, so skips are rare and the
-estimate is unbiased in the limit.
+(normalized 2n-dimensional Gaussians).  Directions that
+``slicing.indeterminacy_test`` flags are skipped and counted — that set has
+measure zero, so skips are rare and the estimate is unbiased in the limit.
 
-Everything slice-related is evaluated for all directions at once: slice
-coefficients by vectorized substitution, roots by batched companion-matrix
-eigenvalues grouped by effective degree, circle integrals by row-wise Horner
-evaluation followed by an axis sort.  Estimates use numpy's pairwise
-summation, so results are bit-identical for a fixed seed regardless of the
-STARFN_THREADS chunking.
+Everything slice-related is evaluated for all directions at once, with the
+batched primitives of ``slicing`` and ``starcore`` that the single-slice API
+runs on a batch of one.  Estimates use numpy's pairwise summation, so
+results are bit-identical for a fixed seed regardless of the STARFN_THREADS
+chunking.
 """
 
 from __future__ import annotations
@@ -25,13 +23,25 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .funcdef import MeroFunction, MultiPoly
-from .slicing import LEADING_TRIM, Direction, RootFindingError, midpoint_angles
-from .starcore import LOG_CEILING, LOG_FLOOR, _split_theta, sanitize_log_values
+from .funcdef import MeroFunction
+from .slicing import (
+    INDETERMINACY_TOL as SKIP_TOL,
+    Direction,
+    a_points,
+    batched_roots,
+    big_N_rows,
+    circle_log_values,
+    log_moduli,
+    root_separation,
+    slice_coefficients,
+    small_n_rows,
+    unit_nodes,
+)
+from .starcore import bathtub, rearrange, sanitize_log_values
 
 __all__ = [
     "SKIP_TOL",
@@ -49,9 +59,6 @@ __all__ = [
     "subharmonicity_stats",
     "subharmonicity_report",
 ]
-
-#: slice root separation below which a direction counts as indeterminate
-SKIP_TOL = 1e-9
 
 
 class AllDirectionsSkippedError(RuntimeError):
@@ -165,7 +172,6 @@ class _Ensemble:
     """Slice data for the kept (non-indeterminate) directions of a sample."""
 
     total: int
-    keep: np.ndarray  # (total,) bool
     g_coef: np.ndarray  # (kept, deg_g+1) complex, ascending
     h_coef: np.ndarray
     g_logroots: np.ndarray  # (kept, deg_g) float, +inf padding
@@ -180,106 +186,27 @@ class _Ensemble:
         return self.total - self.kept
 
 
-def _slice_coefficients(p: MultiPoly, dirs: np.ndarray) -> np.ndarray:
-    count = dirs.shape[0]
-    out = np.zeros((count, p.degree() + 1), dtype=complex)
-    for exp, c in p.ordered_terms():
-        w = np.full(count, c, dtype=complex)
-        for j, e in enumerate(exp):
-            if e:
-                w *= dirs[:, j] ** e
-        out[:, sum(exp)] += w
-    return out
-
-
-def _batched_roots(coef: np.ndarray) -> np.ndarray:
-    """Roots of each row (ascending coefficients); NaN-padded to max degree."""
-    count, width = coef.shape
-    D = width - 1
-    roots = np.full((count, D), np.nan, dtype=complex)
-    if D == 0:
-        return roots
-    mags = np.abs(coef)
-    significant = mags > (LEADING_TRIM * mags.max(axis=1))[:, None]
-    eff = width - 1 - np.argmax(significant[:, ::-1], axis=1)
-    for d in np.unique(eff):
-        idx = np.nonzero(eff == d)[0]
-        if d == 0:
-            continue
-        if d == 1:
-            roots[idx, 0] = -coef[idx, 0] / coef[idx, 1]
-            continue
-        monic = coef[idx, :d] / coef[idx, d][:, None]
-        comp = np.zeros((idx.size, d, d), dtype=complex)
-        comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-        comp[:, :, -1] = -monic
-        try:
-            roots[idx, :d] = np.linalg.eigvals(comp)
-        except np.linalg.LinAlgError as exc:
-            raise RootFindingError(f"batched root extraction failed: {exc}") from exc
-    return roots
-
-
-def _log_moduli(roots: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lm = np.log(np.abs(roots))
-    return np.where(np.isnan(lm), np.inf, lm)
-
-
-def _min_separation(gr: np.ndarray, hr: np.ndarray) -> np.ndarray:
-    count = gr.shape[0]
-    if gr.shape[1] == 0 or hr.shape[1] == 0:
-        return np.full(count, np.inf)
-    dist = np.abs(gr[:, :, None] - hr[:, None, :])
-    dist = np.where(np.isnan(dist), np.inf, dist)
-    return dist.reshape(count, -1).min(axis=1)
-
-
 def _build_ensemble(F: MeroFunction, sample: DirectionSample, tol: float = SKIP_TOL) -> _Ensemble:
+    """The slices of the sample's directions, indeterminate ones skipped."""
     if sample.n != F.n:
         raise ValueError("sample dimension does not match F")
     dirs = sample.as_array()
-    g_coef = _slice_coefficients(F.numerator, dirs)
-    h_coef = _slice_coefficients(F.denominator, dirs)
-    g_roots = _batched_roots(g_coef)
-    h_roots = _batched_roots(h_coef)
-    keep = _min_separation(g_roots, h_roots) > tol
+    g_coef = slice_coefficients(F.numerator, dirs)
+    h_coef = slice_coefficients(F.denominator, dirs)
+    g_roots = batched_roots(g_coef)
+    h_roots = batched_roots(h_coef)
+    keep = root_separation(g_roots, h_roots) > tol
+    if not keep.any():
+        raise AllDirectionsSkippedError(
+            "all sampled directions were near-indeterminate (tol %.1e)" % tol
+        )
     return _Ensemble(
         total=sample.count,
-        keep=keep,
         g_coef=g_coef[keep],
         h_coef=h_coef[keep],
-        g_logroots=_log_moduli(g_roots[keep]),
-        h_logroots=_log_moduli(h_roots[keep]),
+        g_logroots=log_moduli(g_roots[keep]),
+        h_logroots=log_moduli(h_roots[keep]),
     )
-
-
-def _require_kept(ens: _Ensemble) -> None:
-    if ens.kept == 0:
-        raise AllDirectionsSkippedError(
-            "all sampled directions were near-indeterminate (tol %.1e)" % SKIP_TOL
-        )
-
-
-def _n_integrated(logroots: np.ndarray, r: float) -> np.ndarray:
-    """N(r) per direction: sum of log(r/|z_j|) over roots inside |z| <= r."""
-    if logroots.shape[1] == 0:
-        return np.zeros(logroots.shape[0])
-    return np.maximum(math.log(r) - logroots, 0.0).sum(axis=1)
-
-
-def _n_count(logroots: np.ndarray, t: float) -> np.ndarray:
-    if logroots.shape[1] == 0:
-        return np.zeros(logroots.shape[0])
-    return (logroots <= math.log(t)).sum(axis=1).astype(float)
-
-
-def _horner_rows(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
-    acc = np.broadcast_to(coef[:, -1:], (coef.shape[0], w.size)).copy()
-    for k in range(coef.shape[1] - 2, -1, -1):
-        acc *= w
-        acc += coef[:, k : k + 1]
-    return acc
 
 
 def _thread_count() -> int:
@@ -291,27 +218,16 @@ def _thread_count() -> int:
 
 def _star_values(ens: _Ensemble, r: float, thetas: Sequence[float], M: int) -> np.ndarray:
     """F* per kept direction at each theta: array (len(thetas), kept)."""
-    splits = [_split_theta(float(t), M) for t in thetas]
-    w = r * np.exp(1j * midpoint_angles(M))
+    w = r * unit_nodes(M)
     kept = ens.kept
-    out = np.empty((len(splits), kept))
+    out = np.empty((len(thetas), kept))
     chunk = 256  # rows per block: temporaries stay in cache; work() is row-wise
     spans = [(lo, min(lo + chunk, kept)) for lo in range(0, kept, chunk)]
 
     def work(span: tuple[int, int]) -> None:
         lo, hi = span
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.log(np.abs(_horner_rows(ens.g_coef[lo:hi], w)))
-            vals -= np.log(np.abs(_horner_rows(ens.h_coef[lo:hi], w)))
-        vals, _ = sanitize_log_values(vals)
-        vals.sort(axis=1)
-        desc = vals[:, ::-1]
-        prefix = np.cumsum(desc, axis=1)
-        for ti, (k, frac) in enumerate(splits):
-            v = prefix[:, k - 1] if k > 0 else np.zeros(hi - lo)
-            if frac:
-                v = v + frac * desc[:, k]
-            out[ti, lo:hi] = v / M
+        vals, _ = sanitize_log_values(circle_log_values(ens.g_coef[lo:hi], ens.h_coef[lo:hi], w))
+        out[:, lo:hi] = bathtub(*rearrange(vals), thetas)
 
     threads = _thread_count()
     if threads > 1 and len(spans) > 1:
@@ -348,8 +264,7 @@ def star_several(
     if r <= 0:
         raise ValueError("r must be positive")
     ens = _build_ensemble(F, sample, tol)
-    _require_kept(ens)
-    totals = _star_values(ens, r, [theta], M)[0] + _n_integrated(ens.h_logroots, r)
+    totals = _star_values(ens, r, [theta], M)[0] + big_N_rows(ens.h_logroots, r)
     return _estimate(totals, ens.kept)
 
 
@@ -360,9 +275,8 @@ def counting_several(
     if r <= 0:
         raise ValueError("r must be positive")
     ens = _build_ensemble(F, sample, tol)
-    _require_kept(ens)
-    logroots = _points_logroots(ens, a)
-    return _estimate(_n_integrated(logroots, r), ens.kept)
+    logroots = a_points(a, ens.g_logroots, ens.h_logroots)
+    return _estimate(big_N_rows(logroots, r), ens.kept)
 
 
 def lelong_number(
@@ -372,17 +286,8 @@ def lelong_number(
     if t <= 0:
         raise ValueError("t must be positive")
     ens = _build_ensemble(F, sample, tol)
-    _require_kept(ens)
-    logroots = _points_logroots(ens, a)
-    return _estimate(_n_count(logroots, t), ens.kept)
-
-
-def _points_logroots(ens: _Ensemble, a: float) -> np.ndarray:
-    if a == 0:
-        return ens.g_logroots
-    if math.isinf(a):
-        return ens.h_logroots
-    raise ValueError("target a must be 0 or inf")
+    logroots = a_points(a, ens.g_logroots, ens.h_logroots)
+    return _estimate(small_n_rows(logroots, t), ens.kept)
 
 
 def star_grid(
@@ -403,11 +308,10 @@ def star_grid(
     if any(r <= 0 for r in r_values):
         raise ValueError("radii must be positive")
     ens = _build_ensemble(F, sample, tol)
-    _require_kept(ens)
     rows = []
     for r in r_values:
         fstar = _star_values(ens, r, theta_values, M)
-        totals = fstar + _n_integrated(ens.h_logroots, r)[None, :]
+        totals = fstar + big_N_rows(ens.h_logroots, r)[None, :]
         rows.append(tuple(_estimate(totals[ti], ens.kept) for ti in range(len(theta_values))))
     return StarGrid(
         r_values=r_values,
@@ -422,7 +326,7 @@ def star_grid(
 # subharmonicity verification
 
 
-def _default_rho(r_values: Sequence[float], theta_values: Sequence[float]) -> float:
+def default_rho(r_values: Sequence[float], theta_values: Sequence[float]) -> float:
     """Half the minimum Euclidean spacing between adjacent grid points."""
     dr = np.diff(r_values)
     dth = np.diff(theta_values)
@@ -433,6 +337,62 @@ def _default_rho(r_values: Sequence[float], theta_values: Sequence[float]) -> fl
     if not spacings:
         raise ValueError("grid needs at least two points per axis")
     return 0.5 * float(min(spacings))
+
+
+def mean_value_differences(
+    r_values: Sequence[float],
+    theta_values: Sequence[float],
+    rho: float | None,
+    circle_nodes: int,
+    totals: Callable[[float, list[float]], np.ndarray],
+    columns: int,
+) -> np.ndarray:
+    """Circle mean minus centre value of T* at every interior grid point.
+
+    Around each interior point z0 = r e^{i theta} the nodes sit on
+    |z - z0| = rho at angles theta + angle(r + rho e^{2 pi i c/C}), so their
+    radii |r + rho e^{2 pi i c/C}| are shared along grid rows and one circle
+    evaluation serves a radius.  ``totals(radius, thetas)`` returns T* at
+    each (radius, theta) as an array (len(thetas), columns), one column per
+    direction.  The result has shape (rows - 2, thetas - 2, columns).
+    """
+    r_values = [float(r) for r in r_values]
+    theta_values = [float(t) for t in theta_values]
+    if len(r_values) < 3 or len(theta_values) < 3:
+        raise ValueError("need at least a 3x3 grid for interior points")
+    if circle_nodes < 4:
+        raise ValueError("need at least 4 circle nodes")
+    if rho is None:
+        rho = default_rho(r_values, theta_values)
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    interior_r, interior_t = r_values[1:-1], theta_values[1:-1]
+    for r in interior_r:
+        for th in interior_t:
+            if r * math.sin(th) <= rho:
+                raise ValueError(
+                    f"test disk at (r={r}, theta={th}) leaves the upper half-plane"
+                )
+    psi = 2.0 * math.pi * np.arange(circle_nodes) / circle_nodes
+    rings: dict[float, list[tuple[float, int, int]]] = {}
+    for ii, r in enumerate(interior_r):
+        q = r + rho * np.exp(1j * psi)
+        radii = np.abs(q)
+        alphas = np.angle(q)
+        for c in range(circle_nodes):
+            for jj, th0 in enumerate(interior_t):
+                th = th0 + float(alphas[c])
+                if not 0.0 <= th <= math.pi:
+                    raise ValueError("circle node leaves the closed upper half-plane")
+                rings.setdefault(float(radii[c]), []).append((th, ii, jj))
+
+    acc = np.zeros((len(interior_r), len(interior_t), columns))
+    for radius, entries in rings.items():
+        for row, (_, ii, jj) in zip(totals(radius, [e[0] for e in entries]), entries):
+            acc[ii, jj] += row
+    for ii, r in enumerate(interior_r):
+        acc[ii] = acc[ii] / circle_nodes - totals(r, interior_t)
+    return acc
 
 
 def subharmonicity_stats(
@@ -449,73 +409,25 @@ def subharmonicity_stats(
 
     For each interior z0 = r e^{i theta} the statistic is the average of
     T* over ``circle_nodes`` points of the circle |z - z0| = rho minus
-    T*(z0), estimated per-direction with common random numbers.  The circle
-    nodes are placed at angles theta + 2 pi c/C so that their radii
-    |r + rho e^{2 pi i c/C}| are shared along grid rows — the evaluation is
-    organized radius-by-radius.
+    T*(z0), estimated per-direction with common random numbers on the nodes
+    of ``mean_value_differences``, evaluated radius by radius.
     """
-    r_values = tuple(float(r) for r in r_values)
-    theta_values = tuple(float(t) for t in theta_values)
-    nr, nt = len(r_values), len(theta_values)
-    if nr < 3 or nt < 3:
-        raise ValueError("need at least a 3x3 grid for interior points")
-    if circle_nodes < 4:
-        raise ValueError("need at least 4 circle nodes")
-    if rho is None:
-        rho = _default_rho(r_values, theta_values)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    interior_i = range(1, nr - 1)
-    interior_j = range(1, nt - 1)
-    for i in interior_i:
-        for j in interior_j:
-            if r_values[i] * math.sin(theta_values[j]) <= rho:
-                raise ValueError(
-                    f"test disk at (r={r_values[i]}, theta={theta_values[j]}) "
-                    "leaves the upper half-plane"
-                )
-
     ens = _build_ensemble(F, sample, tol)
-    _require_kept(ens)
-    kept = ens.kept
-    C = circle_nodes
-    psi = 2.0 * math.pi * np.arange(C) / C
 
-    # accumulate per-direction circle sums, organized by shared radius
-    acc = np.zeros((nr - 2, nt - 2, kept))
-    tasks: dict[float, list[tuple[float, int, int]]] = {}
-    for ii, i in enumerate(interior_i):
-        q = r_values[i] + rho * np.exp(1j * psi)
-        radii = np.abs(q)
-        alphas = np.angle(q)
-        for c in range(C):
-            for jj, j in enumerate(interior_j):
-                th = theta_values[j] + float(alphas[c])
-                if not 0.0 <= th <= math.pi:
-                    raise ValueError("circle node leaves the closed upper half-plane")
-                tasks.setdefault(float(radii[c]), []).append((th, ii, jj))
+    def totals(radius: float, thetas: list[float]) -> np.ndarray:
+        return _star_values(ens, radius, thetas, M) + big_N_rows(ens.h_logroots, radius)[None, :]
 
-    for radius, entries in tasks.items():
-        thetas = [e[0] for e in entries]
-        fstar = _star_values(ens, radius, thetas, M)
-        totals = fstar + _n_integrated(ens.h_logroots, radius)[None, :]
-        for row, (_, ii, jj) in zip(totals, entries):
-            acc[ii, jj] += row
-
+    diffs = mean_value_differences(r_values, theta_values, rho, circle_nodes, totals, ens.kept)
     stats = []
-    for ii, i in enumerate(interior_i):
-        thetas = [theta_values[j] for j in interior_j]
-        fstar = _star_values(ens, r_values[i], thetas, M)
-        centers = fstar + _n_integrated(ens.h_logroots, r_values[i])[None, :]
-        for jj, j in enumerate(interior_j):
-            diffs = acc[ii, jj] / C - centers[jj]
-            est = _estimate(diffs, kept)
+    for ii, r in enumerate(r_values[1:-1]):
+        for jj, th in enumerate(theta_values[1:-1]):
+            est = _estimate(diffs[ii, jj], ens.kept)
             stats.append(
                 PointStat(
-                    i=i,
-                    j=j,
-                    r=r_values[i],
-                    theta=theta_values[j],
+                    i=ii + 1,
+                    j=jj + 1,
+                    r=float(r),
+                    theta=float(th),
                     mean_diff=est.mean,
                     stderr=est.stderr,
                 )

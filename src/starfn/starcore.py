@@ -14,6 +14,9 @@ equivalently, by the level-threshold form
 at the quantile t where the superlevel set has measure 2*theta.  Both forms
 are computed here from the same samples and must agree to ~1e-10; their
 agreement is one of the package's standing cross-checks.
+
+``rearrange`` (sort and prefix sums) and ``bathtub`` (the lookup) work on
+rows, so the sphere averages run them on all sampled directions at once.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .funcdef import MeroFunction
-from .slicing import Direction, SliceDivisor, _big_N_from_points, midpoint_angles, slice_divisor
+from .slicing import Direction, SliceDivisor, circle_log_values, slice_divisor, unit_nodes
 
 __all__ = [
     "LOG_FLOOR",
@@ -104,18 +107,12 @@ class RearrangedProfile:
 
     @classmethod
     def from_samples(cls, samples: CircleSamples) -> "RearrangedProfile":
-        sv = np.sort(samples.values)[::-1].copy()
-        ps = np.concatenate(([0.0], np.cumsum(sv)))
+        sv, ps = rearrange(samples.values.copy())
         return cls(sorted_values=sv, prefix_sums=ps)
 
     def fstar(self, theta: float) -> float:
         """Bathtub value: mean of the 2*theta-measure worth of top samples."""
-        M = self.sorted_values.size
-        k, frac = _split_theta(theta, M)
-        value = self.prefix_sums[k]
-        if frac:
-            value = value + frac * self.sorted_values[k]
-        return float(value / M)
+        return float(bathtub(self.sorted_values, self.prefix_sums, [theta])[0])
 
 
 class LevelValue(float):
@@ -146,7 +143,8 @@ class StarValue:
             raise ValueError("total must equal fstar + big_N_inf exactly")
 
 
-def _split_theta(theta: float, M: int) -> tuple[int, float]:
+def split_theta(theta: float, M: int) -> tuple[int, float]:
+    """theta*M/pi split into whole samples k and the fraction of sample k."""
     if not 0 <= theta <= math.pi:
         raise ValueError(f"theta={theta} outside [0, pi]")
     s = theta * M / math.pi
@@ -154,6 +152,30 @@ def _split_theta(theta: float, M: int) -> tuple[int, float]:
     if k >= M:
         return M, 0.0
     return k, s - k
+
+
+def rearrange(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonincreasing rows of vals (a reversed view of vals, sorted in place)
+    and their prefix sums with a leading 0."""
+    vals.sort(axis=-1)
+    desc = vals[..., ::-1]
+    prefix = np.zeros(vals.shape[:-1] + (vals.shape[-1] + 1,))
+    np.cumsum(desc, axis=-1, out=prefix[..., 1:])
+    return desc, prefix
+
+
+def bathtub(desc: np.ndarray, prefix: np.ndarray, thetas) -> np.ndarray:
+    """Mean of the top 2*theta measure of each row of ``rearrange`` output,
+    at each theta: shape (len(thetas),) + desc.shape[:-1]."""
+    M = desc.shape[-1]
+    out = np.empty((len(thetas),) + desc.shape[:-1])
+    for i, theta in enumerate(thetas):
+        k, frac = split_theta(float(theta), M)
+        v = prefix[..., k]
+        if frac:
+            v = v + frac * desc[..., k]
+        out[i] = v / M
+    return out
 
 
 def sanitize_log_values(vals: np.ndarray) -> tuple[np.ndarray, int]:
@@ -169,10 +191,11 @@ def sanitize_log_values(vals: np.ndarray) -> tuple[np.ndarray, int]:
     return np.clip(vals, LOG_FLOOR, LOG_CEILING), clipped
 
 
-def _samples_from_divisor(div: SliceDivisor, r: float, M: int) -> CircleSamples:
-    w = r * np.exp(1j * midpoint_angles(M))
+def divisor_samples(div: SliceDivisor, r: float, M: int) -> CircleSamples:
+    """Circle samples of the slice with the divisor's cancelled pairs removed."""
+    w = r * unit_nodes(M)
+    vals = circle_log_values(div.pair.g.row, div.pair.h.row, w)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.log(np.abs(div.pair.g(w))) - np.log(np.abs(div.pair.h(w)))
         # shared g/h roots are removable factors of the slice, not features
         # of |F_zeta|; subtract their (nearly cancelling) log contributions
         for zg, zh, m in div.cancelled:
@@ -190,7 +213,7 @@ def circle_log_samples(F: MeroFunction, zeta: Direction, r: float, M: int = 4096
     """
     if M < 16:
         raise ValueError("M must be at least 16")
-    return _samples_from_divisor(slice_divisor(F, zeta), r, M)
+    return divisor_samples(slice_divisor(F, zeta), r, M)
 
 
 def star_rearranged(samples: CircleSamples, theta: float) -> float:
@@ -207,7 +230,7 @@ def level_threshold(samples: CircleSamples, theta: float) -> LevelValue:
     if not 0 < theta < math.pi:
         raise ValueError("theta must lie in (0, pi)")
     sv = samples.profile.sorted_values
-    k, _ = _split_theta(theta, samples.M)
+    k, _ = split_theta(theta, samples.M)
     degenerate = bool(sv[0] == sv[-1])
     return LevelValue(float(sv[min(k, samples.M - 1)]), degenerate)
 
@@ -224,7 +247,6 @@ def slice_star_total(
 ) -> StarValue:
     """T*(re^{i theta}, F_zeta) = rearranged star + N(r, inf; F_zeta)."""
     div = slice_divisor(F, zeta)
-    samples = _samples_from_divisor(div, r, M)
-    fstar = star_rearranged(samples, theta)
-    n_inf = _big_N_from_points(div.poles, r)
+    fstar = star_rearranged(divisor_samples(div, r, M), theta)
+    n_inf = div.big_N(r, math.inf)
     return StarValue(r=float(r), theta=float(theta), fstar=fstar, big_N_inf=n_inf, total=fstar + n_inf)

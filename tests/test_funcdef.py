@@ -9,7 +9,6 @@ from starfn.funcdef import (
     MultiPoly,
     NormalizationError,
     ParseError,
-    eval_poly,
     function_to_text,
     homogeneous_parts,
     linear_form,
@@ -81,18 +80,18 @@ def test_parse_function_rejects_double_slash():
 
 def test_eval_poly_examples():
     p = parse_poly("1 - z1*z2", 2)
-    assert eval_poly(p, (1, 1)) == 0
+    assert p.eval((1, 1)) == 0
     q = parse_poly("1 + z1 + 2*z2", 2)
-    assert eval_poly(q, (1, 0)) == 2
+    assert q.eval((1, 0)) == 2
     r = parse_poly("(1 + (z1 + 2*z2)*0.5)^2", 2)
     # (1 + (1 + 4)/2)^2 = 3.5^2 = 12.25
-    assert eval_poly(r, (1, 2)) == pytest.approx(12.25, abs=1e-14)
+    assert r.eval((1, 2)) == pytest.approx(12.25, abs=1e-14)
 
 
 def test_eval_poly_dimension_mismatch():
     p = parse_poly("z1", 2)
     with pytest.raises(ValueError):
-        eval_poly(p, (1,))
+        p.eval((1,))
 
 
 def test_homogeneous_parts_quadratic():
@@ -189,7 +188,7 @@ def test_degree_and_zero():
 def test_linear_form():
     lf = linear_form((1, 2j), 2)
     assert lf == parse_poly("z1 + 2*i*z2", 2)
-    assert eval_poly(lf, (3, 1)) == 3 + 2j
+    assert lf.eval((3, 1)) == 3 + 2j
 
 
 def test_pow_matches_repeated_multiplication():

@@ -168,6 +168,8 @@ def test_detect_rational_form_via_pade():
     assert rep.detected
     assert abs(rep.form.profile[2] - 0.4) <= 1e-9
     assert rep.ray[1] <= 1e-9
+    # P is the rational num/den split from the profile, not its truncated series
+    assert verify_harmonic_form(F, rep.form) <= 1e-10
 
 
 def test_detect_round_trip_from_random_products():

@@ -11,6 +11,7 @@ from starfn.slicing import (
     RootSet,
     SlicePair,
     UniPoly,
+    batched_roots,
     counting_big_N,
     counting_record,
     counting_small_n,
@@ -18,6 +19,7 @@ from starfn.slicing import (
     jensen_residual,
     make_slice,
     roots_in_disk,
+    slice_coefficients,
     slice_divisor,
 )
 
@@ -272,3 +274,21 @@ def test_counting_record_validation():
         CountingRecord(r=1.0, a=2.0, small_n=0, big_N=0.0)
     with pytest.raises(ValueError):
         CountingRecord(r=-1.0, a=0.0, small_n=0, big_N=0.0)
+
+
+def test_batch_of_one_gives_the_bits_of_its_row_in_a_batch():
+    # the single-slice API and the sphere averages share these primitives,
+    # so a one-row batch must reproduce its row of a larger batch exactly
+    rng = np.random.default_rng(12)
+    f = parse_function(
+        "(1 + (0.3-1.1*i)*z1^2*z2 - 0.7*z1*z2 + 2*z2^3) / (1 + (1.2+0.4*i)*z1 - 0.5*z1^2*z2^2)", 2
+    )
+    dirs = rng.normal(size=(257, 2)) + 1j * rng.normal(size=(257, 2))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    for p in (f.numerator, f.denominator):
+        coef = slice_coefficients(p, dirs)
+        roots = batched_roots(coef)
+        for i in range(0, 257, 16):
+            one = slice_coefficients(p, dirs[i : i + 1])
+            assert np.array_equal(one[0], coef[i])
+            assert np.array_equal(batched_roots(one)[0], roots[i], equal_nan=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from starfn.funcdef import MeroFunction, MultiPoly, linear_form, parse_function, parse_poly
-from starfn.slicing import Direction, counting_record, slice_divisor
+from starfn.slicing import Direction, counting_record, indeterminacy_test, slice_divisor
 from starfn.sphere import (
     AllDirectionsSkippedError,
     DirectionSample,
@@ -214,6 +214,29 @@ def test_all_directions_skipped_raises():
     sample = sample_directions(2, 8, seed=2)
     with pytest.raises(AllDirectionsSkippedError):
         counting_several(shared_root, 2.0, math.inf, sample)
+
+
+def test_sphere_skips_exactly_the_directions_indeterminacy_test_flags():
+    # A double common factor: the two raw roots of the double root split by
+    # about 1e-8, more than the tolerance, so only clustered roots see it.
+    # Every slice is indeterminate and every direction must be skipped.
+    F = parse_function("(1-z1)^2*(1+z2) / ((1-z1)^2*(1-z2))", 2)
+    sample = sample_directions(2, 200, seed=3)
+    assert all(indeterminacy_test(F, d)[0] for d in sample.directions)
+    with pytest.raises(AllDirectionsSkippedError):
+        counting_several(F, 2.0, math.inf, sample)
+
+    # a sample with a few indeterminate directions among regular ones
+    G = parse_function("(1-z1)^2*(1+z2) / ((1-z2)^2*(1+z1))", 2)
+    dirs = sample_directions(2, 40, seed=5).directions + (
+        Direction.of((1.0, 1.0)),
+        Direction.of((1j, 1j)),
+        Direction.of((-0.3 + 0.4j, -0.3 + 0.4j)),
+    )
+    mixed = DirectionSample(n=2, seed=5, count=len(dirs), directions=dirs)
+    flags = [indeterminacy_test(G, d)[0] for d in dirs]
+    assert sum(flags) == 3
+    assert counting_several(G, 2.0, math.inf, mixed).count_used == flags.count(False)
 
 
 def _random_rational(rng, max_deg=4, terms=5):
