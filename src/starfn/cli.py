@@ -311,18 +311,18 @@ def _build_parser() -> argparse.ArgumentParser:
         if fn:
             p.add_argument("--fn", dest="fn_path", required=True, help="function JSON file")
         if sampled:
-            p.add_argument("--samples", type=int, default=1000)
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--samples", type=int)
+            p.add_argument("--seed", type=int)
         if circle:
-            p.add_argument("--circle", type=int, default=4096, help="circle quadrature size M")
+            p.add_argument("--circle", type=int, help="circle quadrature size M")
 
     def add_grid_axes(p):
-        p.add_argument("--r-min", type=float, default=0.5)
-        p.add_argument("--r-max", type=float, default=2.0)
-        p.add_argument("--r-steps", type=int, default=5)
-        p.add_argument("--theta-min", type=float, default=0.3)
-        p.add_argument("--theta-max", type=float, default=math.pi - 0.3)
-        p.add_argument("--theta-steps", type=int, default=5)
+        p.add_argument("--r-min", type=float)
+        p.add_argument("--r-max", type=float)
+        p.add_argument("--r-steps", type=int)
+        p.add_argument("--theta-min", type=float)
+        p.add_argument("--theta-max", type=float)
+        p.add_argument("--theta-steps", type=int)
 
     p = sub.add_parser("slice-star", help="T* of one slice at r e^{i theta}")
     add_common(p)
@@ -349,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, sampled=True)
     add_grid_axes(p)
     p.add_argument("--out")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"))
 
     check = sub.add_parser("check", help="verification suites").add_subparsers(
         dest="check_kind", required=True
@@ -365,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, sampled=True)
     add_grid_axes(p)
     p.add_argument("--rho", type=float)
-    p.add_argument("--circle-nodes", type=int, default=8)
+    p.add_argument("--circle-nodes", type=int)
 
     p = check.add_parser("harmonic-slice", help="mean-value equality for one slice")
     add_common(p)
@@ -373,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_grid_axes(p)
     p.add_argument("--tol", type=float)
     p.add_argument("--rho", type=float)
-    p.add_argument("--circle-nodes", type=int, default=8)
+    p.add_argument("--circle-nodes", type=int)
 
     p = sub.add_parser("detect-harmonic", help="detect F(Z) = P(Z.eta)")
     add_common(p, circle=False)
@@ -381,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("product-taylor", help="Taylor data of a canonical product")
     p.add_argument("--product", dest="product_path", required=True)
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=int)
 
     return parser
 

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .funcdef import MeroFunction, MultiPoly, homogeneous_parts
-from .slicing import Direction, horner_rows, slice_divisor
+from .slicing import Direction, horner_rows, slice_coefficients, slice_divisor
 from .sphere import mean_value_differences
 from .starcore import bathtub, divisor_samples
 
@@ -340,20 +340,27 @@ def verify_harmonic_form(
     num, den = _pade_split(form.profile, F.numerator.degree(), F.denominator.degree())
     rng = np.random.default_rng(seed)
     n = F.n
-    u_vals, f_vals = [], []
-    for _ in range(trials):
-        for _attempt in range(100):
-            radii = radius * np.sqrt(rng.uniform(size=n))
-            angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
-            Z = tuple(complex(ri * math.cos(a), ri * math.sin(a)) for ri, a in zip(radii, angles))
-            if abs(F.denominator.eval(Z)) > 1e-12:
-                break
-        else:
-            raise RuntimeError("could not sample away from the poles of F")
-        u_vals.append(sum(z * e for z, e in zip(Z, form.eta)))
-        f_vals.append(F.eval(Z))
-    u = np.array(u_vals, dtype=complex)
-    f = np.array(f_vals, dtype=complex)
+
+    def draw(rows: int) -> np.ndarray:
+        raw = rng.uniform(size=(rows, 2 * n))
+        radii = radius * np.sqrt(raw[:, :n])
+        angles = 2.0 * math.pi * raw[:, n:]
+        return radii * np.cos(angles) + 1j * (radii * np.sin(angles))
+
+    # p(Z) is the sum of the coefficients of p(z * Z) in z
+    Z = np.empty((trials, n), dtype=complex)
+    H = np.empty(trials, dtype=complex)
+    redraw = np.arange(trials)
+    for _attempt in range(100):
+        Z[redraw] = draw(redraw.size)
+        H[redraw] = slice_coefficients(F.denominator, Z[redraw]).sum(axis=1)
+        redraw = np.nonzero(np.abs(H) <= 1e-12)[0]
+        if not redraw.size:
+            break
+    else:
+        raise RuntimeError("could not sample away from the poles of F")
+    f = slice_coefficients(F.numerator, Z).sum(axis=1) / H
+    u = (Z * np.asarray(form.eta, dtype=complex)).sum(axis=1)
     p = horner_rows(num[None, :], u)[0] / horner_rows(den[None, :], u)[0]
     return float((np.abs(f - p) / (1.0 + np.abs(f))).max(initial=0.0))
 

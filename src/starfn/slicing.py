@@ -52,8 +52,9 @@ __all__ = [
     "indeterminacy_test",
 ]
 
-#: relative clustering tolerance for merging nearly-equal roots
-CLUSTER_TOL = 1e-8
+#: the largest multiplicity clustering recognizes: beyond it the scatter of
+#: an m-fold root, about eps^(1/m), nears a tenth of the root's own scale
+MAX_MULTIPLICITY = 8
 #: a slice is indeterminate when a clustered g-root and a clustered h-root lie
 #: within this distance: single-slice queries cancel the pair, sphere averages
 #: skip the direction
@@ -61,7 +62,8 @@ INDETERMINACY_TOL = 1e-9
 #: leading coefficients below this relative size are noise from collection
 LEADING_TRIM = 1e-13
 
-_NORM_TOL = 1e-14
+#: how far a direction's norm may be from 1
+NORM_TOL = 1e-14
 _EPS = float(np.finfo(float).eps)
 
 
@@ -83,8 +85,8 @@ class Direction:
         comps = tuple(complex(c) for c in self.components)
         object.__setattr__(self, "components", comps)
         norm = math.sqrt(sum(abs(c) ** 2 for c in comps))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"direction norm {norm} is not 1 within {_NORM_TOL}")
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(f"direction norm {norm} is not 1 within {NORM_TOL}")
 
     @classmethod
     def of(cls, vec: Sequence[complex]) -> "Direction":
@@ -199,75 +201,63 @@ def small_n_rows(logroots: np.ndarray, t: float) -> np.ndarray:
     return (logroots <= math.log(t)).sum(axis=1).astype(float)
 
 
+def _fold_scale(m: int) -> float:
+    """Radius of an m-fold root's scatter, per unit of 1 + |root|."""
+    return 8.0 * _EPS ** (1.0 / m)
+
+
+def _fold_reach(m: int) -> float:
+    """Each member z of an m-fold cluster with s = _fold_scale(m) lies within
+    s*(1+|c|) <= s*(1+|z|)/(1-s) of the centroid c, so its m-1 others lie
+    within this reach times 1 + |z|; it grows with m."""
+    s = _fold_scale(m)
+    return 2.0 * s / (1.0 - s)
+
+
 def _cluster(roots: np.ndarray) -> list[tuple[complex, int]]:
     """Merge root approximations into (location, multiplicity) clusters.
 
-    Pass 1 is plain union-find at CLUSTER_TOL*(1+|z|).  Pass 2 re-merges
-    cluster pairs whose distance fits the scatter of an m-fold root: an
-    m-multiple root computed in double precision splits by about eps^(1/m)
-    (e.g. ~1e-8 for a double root), which exceeds the base tolerance, so a
-    combined cluster of size m = mi+mj is accepted within
-    8*(1+|z|)*eps^(1/m).
+    An m-fold root computed in double precision splits into m raw roots
+    about eps^(1/m) apart (~1e-8 for a double root, ~6e-6 for a triple one),
+    so m raw roots are taken for one m-fold root at their centroid c when
+    all of them lie within _fold_scale(m)*(1+|c|) of c.  Larger m are tried
+    first, each remaining root with its m-1 nearest remaining neighbours.
+    Without two roots within the widest reach nothing can merge.
     """
-    roots = [complex(z) for z in roots]
-    k = len(roots)
-    parent = list(range(k))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            tol = CLUSTER_TOL * (1.0 + max(abs(roots[i]), abs(roots[j])))
-            if abs(roots[i] - roots[j]) <= tol:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pj] = pi
-    groups: dict[int, list[complex]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(roots[i])
-    clusters = [(sum(g) / len(g), len(g)) for g in groups.values()]
-
-    changed = True
-    while changed and len(clusters) > 1:
-        changed = False
-        merged: list[tuple[complex, int]] = []
-        used = [False] * len(clusters)
-        for i in range(len(clusters)):
-            if used[i]:
-                continue
-            zi, mi = clusters[i]
-            for j in range(i + 1, len(clusters)):
-                if used[j]:
-                    continue
-                zj, mj = clusters[j]
-                m = mi + mj
-                tol = 8.0 * (1.0 + max(abs(zi), abs(zj))) * _EPS ** (1.0 / m)
-                if abs(zi - zj) <= tol:
-                    zi = (zi * mi + zj * mj) / m
-                    mi = m
-                    used[j] = True
-                    changed = True
-            merged.append((zi, mi))
-            used[i] = True
-        clusters = merged
-
+    left = [complex(z) for z in roots]
+    clusters: list[tuple[complex, int]] = []
+    top = min(len(left), MAX_MULTIPLICITY)
+    if top > 1 and any(
+        abs(a - b) <= _fold_reach(top) * (1.0 + max(abs(a), abs(b)))
+        for a, b in combinations(left, 2)
+    ):
+        for m in range(top, 1, -1):
+            i = 0
+            while i < len(left) and len(left) >= m:
+                near = sorted(range(len(left)), key=lambda k: abs(left[k] - left[i]))[:m]
+                c = sum(left[k] for k in near) / m
+                if all(abs(left[k] - c) <= _fold_scale(m) * (1.0 + abs(c)) for k in near):
+                    clusters.append((c, m))
+                    left = [z for k, z in enumerate(left) if k not in near]
+                else:
+                    i += 1
+    clusters += [(z, 1) for z in left]
     clusters.sort(key=lambda zm: (abs(zm[0]), zm[0].real, zm[0].imag))
     return clusters
 
 
 def _may_merge(roots: np.ndarray) -> np.ndarray:
-    """Rows in which _cluster could merge two roots: its first merge always
-    joins two raw roots within 8*(1+|z|)*sqrt(eps) (checked here with twice
-    that), so any other row clusters into its raw roots unchanged."""
-    mod = np.abs(roots)
-    close = np.zeros(roots.shape[0], dtype=bool)
-    for i, j in combinations(range(roots.shape[1]), 2):  # NaN padding is never close
-        reach = 16.0 * math.sqrt(_EPS) * (1.0 + np.maximum(mod[:, i], mod[:, j]))
-        close |= np.abs(roots[:, i] - roots[:, j]) <= reach
+    """Rows in which _cluster could merge roots: those where some root has
+    its (m-1)-th nearest other root within _fold_reach(m), for some m."""
+    count, width = roots.shape
+    top = min(width, MAX_MULTIPLICITY)
+    reach = np.array([_fold_reach(m) for m in range(2, top + 1)])
+    close = np.zeros(count, dtype=bool)
+    for i in range(width):
+        # distances from root i to its nearest others (index 0 is root i);
+        # NaN padding sorts last and is never close
+        near = np.sort(np.abs(roots - roots[:, i : i + 1]), axis=1)[:, 1:top]
+        close |= (near <= np.outer(1.0 + np.abs(roots[:, i]), reach)).any(axis=1)
     return close
 
 
@@ -434,7 +424,7 @@ def roots_in_disk(u: UniPoly, t: float) -> RootSet:
     return RootSet(roots=tuple(clusters), residual_bound=float(residual))
 
 
-def slice_divisor(F: MeroFunction, zeta: Direction, tol: float = INDETERMINACY_TOL) -> SliceDivisor:
+def slice_divisor(F: MeroFunction, zeta: Direction) -> SliceDivisor:
     """Slice zeros and poles with common g/h roots cancelled in pairs."""
     pair = make_slice(F, zeta)
     gset = roots_in_disk(pair.g, math.inf)
@@ -448,7 +438,7 @@ def slice_divisor(F: MeroFunction, zeta: Direction, tol: float = INDETERMINACY_T
         for prec in poles:
             if prec[1] == 0:
                 continue
-            if abs(zrec[0] - prec[0]) <= tol:
+            if abs(zrec[0] - prec[0]) <= INDETERMINACY_TOL:
                 m = min(zrec[1], prec[1])
                 cancelled.append((zrec[0], prec[0], m))
                 zrec[1] -= m
@@ -520,10 +510,8 @@ def jensen_residual(F: MeroFunction, zeta: Direction, r: float, M: int) -> float
     return float(abs(lhs - vals.mean()))
 
 
-def indeterminacy_test(
-    F: MeroFunction, zeta: Direction, tol: float = INDETERMINACY_TOL
-) -> tuple[bool, float]:
-    """Does the slice share a zero of g and h within tol?
+def indeterminacy_test(F: MeroFunction, zeta: Direction) -> tuple[bool, float]:
+    """Does the slice share a zero of g and h within INDETERMINACY_TOL?
 
     Returns (flag, separation): separation is the minimum distance between a
     g-root and an h-root (clustered locations), +inf if either set is empty.
@@ -531,4 +519,4 @@ def indeterminacy_test(
     """
     pair = make_slice(F, zeta)
     sep = float(root_separation(batched_roots(pair.g.row), batched_roots(pair.h.row))[0])
-    return sep <= tol, sep
+    return sep <= INDETERMINACY_TOL, sep

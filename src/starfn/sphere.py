@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ import numpy as np
 from .funcdef import MeroFunction
 from .slicing import (
     INDETERMINACY_TOL as SKIP_TOL,
-    Direction,
+    NORM_TOL,
     a_points,
     batched_roots,
     big_N_rows,
@@ -67,23 +67,26 @@ class AllDirectionsSkippedError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class DirectionSample:
-    """Reproducible i.i.d. uniform directions on the unit sphere of C^n."""
+    """Reproducible i.i.d. uniform directions on the unit sphere of C^n.
+
+    ``directions`` is a read-only (count, n) complex array, one direction
+    per row.
+    """
 
     n: int
     seed: int
     count: int
-    directions: tuple[Direction, ...]
-    skipped: int = 0
+    directions: np.ndarray
 
     def __post_init__(self):
-        if self.count < 1 or len(self.directions) != self.count:
-            raise ValueError("directions must have length count >= 1")
-
-    def as_array(self) -> np.ndarray:
-        """(count, n) complex matrix of the direction components."""
-        arr = np.array([d.components for d in self.directions], dtype=complex)
-        arr.setflags(write=False)
-        return arr
+        dirs = np.array(self.directions, dtype=complex)
+        if self.count < 1 or dirs.shape != (self.count, self.n):
+            raise ValueError("directions must be a (count, n) array with count >= 1")
+        norms = np.sqrt((np.abs(dirs) ** 2).sum(axis=1))
+        if np.any(np.abs(norms - 1.0) > NORM_TOL):
+            raise ValueError(f"every direction must have norm 1 within {NORM_TOL}")
+        dirs.setflags(write=False)
+        object.__setattr__(self, "directions", dirs)
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,11 @@ class Estimate:
             raise ValueError("stderr is nonnegative")
 
 
+def _check_sorted(*axes: Sequence[float]) -> None:
+    if any(list(axis) != sorted(axis) for axis in axes):
+        raise ValueError("grid axes must be sorted ascending")
+
+
 @dataclass(frozen=True, eq=False)
 class StarGrid:
     """star_several tabulated on an (r, theta) rectangle with shared sample."""
@@ -112,10 +120,7 @@ class StarGrid:
     skipped: int
 
     def __post_init__(self):
-        if list(self.r_values) != sorted(self.r_values) or list(
-            self.theta_values
-        ) != sorted(self.theta_values):
-            raise ValueError("grid axes must be sorted ascending")
+        _check_sorted(self.r_values, self.theta_values)
         if len(self.cells) != len(self.r_values) or any(
             len(row) != len(self.theta_values) for row in self.cells
         ):
@@ -135,16 +140,10 @@ class PointStat:
 
 
 @dataclass(frozen=True)
-class Violation:
+class Violation(PointStat):
     """An interior point whose circle mean falls below the center value
     by more than the noise allowance."""
 
-    i: int
-    j: int
-    r: float
-    theta: float
-    mean_diff: float
-    stderr: float
     threshold: float
 
 
@@ -159,8 +158,7 @@ def sample_directions(n: int, count: int, seed: int) -> DirectionSample:
     if np.any(norms == 0):  # probability zero, but be explicit
         raise RuntimeError("degenerate Gaussian draw")
     vecs /= norms[:, None]
-    directions = tuple(Direction(tuple(row)) for row in vecs)
-    return DirectionSample(n=n, seed=int(seed), count=int(count), directions=directions)
+    return DirectionSample(n=n, seed=int(seed), count=int(count), directions=vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +184,18 @@ class _Ensemble:
         return self.total - self.kept
 
 
-def _build_ensemble(F: MeroFunction, sample: DirectionSample, tol: float = SKIP_TOL) -> _Ensemble:
+def _build_ensemble(F: MeroFunction, sample: DirectionSample) -> _Ensemble:
     """The slices of the sample's directions, indeterminate ones skipped."""
     if sample.n != F.n:
         raise ValueError("sample dimension does not match F")
-    dirs = sample.as_array()
-    g_coef = slice_coefficients(F.numerator, dirs)
-    h_coef = slice_coefficients(F.denominator, dirs)
+    g_coef = slice_coefficients(F.numerator, sample.directions)
+    h_coef = slice_coefficients(F.denominator, sample.directions)
     g_roots = batched_roots(g_coef)
     h_roots = batched_roots(h_coef)
-    keep = root_separation(g_roots, h_roots) > tol
+    keep = root_separation(g_roots, h_roots) > SKIP_TOL
     if not keep.any():
         raise AllDirectionsSkippedError(
-            "all sampled directions were near-indeterminate (tol %.1e)" % tol
+            "all sampled directions were near-indeterminate (tol %.1e)" % SKIP_TOL
         )
     return _Ensemble(
         total=sample.count,
@@ -217,7 +214,8 @@ def _thread_count() -> int:
 
 
 def _star_values(ens: _Ensemble, r: float, thetas: Sequence[float], M: int) -> np.ndarray:
-    """F* per kept direction at each theta: array (len(thetas), kept)."""
+    """T* = F* + N(r, inf) per kept direction at each theta: array
+    (len(thetas), kept)."""
     w = r * unit_nodes(M)
     kept = ens.kept
     out = np.empty((len(thetas), kept))
@@ -236,6 +234,7 @@ def _star_values(ens: _Ensemble, r: float, thetas: Sequence[float], M: int) -> n
     else:
         for span in spans:
             work(span)
+    out += big_N_rows(ens.h_logroots, r)
     return out
 
 
@@ -258,36 +257,30 @@ def star_several(
     theta: float,
     sample: DirectionSample,
     M: int = 4096,
-    tol: float = SKIP_TOL,
 ) -> Estimate:
     """Mean of T*(re^{i theta}, F_zeta) over the sample's directions."""
     if r <= 0:
         raise ValueError("r must be positive")
-    ens = _build_ensemble(F, sample, tol)
-    totals = _star_values(ens, r, [theta], M)[0] + big_N_rows(ens.h_logroots, r)
-    return _estimate(totals, ens.kept)
+    ens = _build_ensemble(F, sample)
+    return _estimate(_star_values(ens, r, [theta], M)[0], ens.kept)
 
 
-def counting_several(
-    F: MeroFunction, r: float, a: float, sample: DirectionSample, tol: float = SKIP_TOL
-) -> Estimate:
+def counting_several(F: MeroFunction, r: float, a: float, sample: DirectionSample) -> Estimate:
     """Mean of N(r, a; F_zeta) over the sample's directions."""
     if r <= 0:
         raise ValueError("r must be positive")
-    ens = _build_ensemble(F, sample, tol)
-    logroots = a_points(a, ens.g_logroots, ens.h_logroots)
-    return _estimate(big_N_rows(logroots, r), ens.kept)
+    field = a_points(a, "g_logroots", "h_logroots")
+    ens = _build_ensemble(F, sample)
+    return _estimate(big_N_rows(getattr(ens, field), r), ens.kept)
 
 
-def lelong_number(
-    F: MeroFunction, t: float, a: float, sample: DirectionSample, tol: float = SKIP_TOL
-) -> Estimate:
+def lelong_number(F: MeroFunction, t: float, a: float, sample: DirectionSample) -> Estimate:
     """Mean of n(t, a; F_zeta): the density of the a-divisor at scale t."""
     if t <= 0:
         raise ValueError("t must be positive")
-    ens = _build_ensemble(F, sample, tol)
-    logroots = a_points(a, ens.g_logroots, ens.h_logroots)
-    return _estimate(small_n_rows(logroots, t), ens.kept)
+    field = a_points(a, "g_logroots", "h_logroots")
+    ens = _build_ensemble(F, sample)
+    return _estimate(small_n_rows(getattr(ens, field), t), ens.kept)
 
 
 def star_grid(
@@ -296,7 +289,6 @@ def star_grid(
     theta_values: Sequence[float],
     sample: DirectionSample,
     M: int = 4096,
-    tol: float = SKIP_TOL,
 ) -> StarGrid:
     """Tabulate star_several on a rectangle, sharing one direction sample.
 
@@ -307,11 +299,11 @@ def star_grid(
     theta_values = tuple(float(t) for t in theta_values)
     if any(r <= 0 for r in r_values):
         raise ValueError("radii must be positive")
-    ens = _build_ensemble(F, sample, tol)
+    _check_sorted(r_values, theta_values)
+    ens = _build_ensemble(F, sample)
     rows = []
     for r in r_values:
-        fstar = _star_values(ens, r, theta_values, M)
-        totals = fstar + big_N_rows(ens.h_logroots, r)[None, :]
+        totals = _star_values(ens, r, theta_values, M)
         rows.append(tuple(_estimate(totals[ti], ens.kept) for ti in range(len(theta_values))))
     return StarGrid(
         r_values=r_values,
@@ -403,7 +395,6 @@ def subharmonicity_stats(
     M: int = 1024,
     rho: float | None = None,
     circle_nodes: int = 8,
-    tol: float = SKIP_TOL,
 ) -> tuple[PointStat, ...]:
     """Discrete mean-value statistics of T*(., F) at interior grid points.
 
@@ -412,12 +403,15 @@ def subharmonicity_stats(
     T*(z0), estimated per-direction with common random numbers on the nodes
     of ``mean_value_differences``, evaluated radius by radius.
     """
-    ens = _build_ensemble(F, sample, tol)
-
-    def totals(radius: float, thetas: list[float]) -> np.ndarray:
-        return _star_values(ens, radius, thetas, M) + big_N_rows(ens.h_logroots, radius)[None, :]
-
-    diffs = mean_value_differences(r_values, theta_values, rho, circle_nodes, totals, ens.kept)
+    ens = _build_ensemble(F, sample)
+    diffs = mean_value_differences(
+        r_values,
+        theta_values,
+        rho,
+        circle_nodes,
+        lambda radius, thetas: _star_values(ens, radius, thetas, M),
+        ens.kept,
+    )
     stats = []
     for ii, r in enumerate(r_values[1:-1]):
         for jj, th in enumerate(theta_values[1:-1]):
@@ -444,7 +438,6 @@ def subharmonicity_report(
     rho: float | None = None,
     circle_nodes: int = 8,
     tol_quad: float = 1e-4,
-    tol: float = SKIP_TOL,
 ) -> list[Violation]:
     """Interior points where the circle mean of T* undercuts the center.
 
@@ -453,21 +446,11 @@ def subharmonicity_report(
     allowance plus the quadrature slack.
     """
     stats = subharmonicity_stats(
-        F, r_values, theta_values, sample, M=M, rho=rho, circle_nodes=circle_nodes, tol=tol
+        F, r_values, theta_values, sample, M=M, rho=rho, circle_nodes=circle_nodes
     )
     violations = []
     for st in stats:
         threshold = -(3.0 * st.stderr + tol_quad)
         if st.mean_diff < threshold:
-            violations.append(
-                Violation(
-                    i=st.i,
-                    j=st.j,
-                    r=st.r,
-                    theta=st.theta,
-                    mean_diff=st.mean_diff,
-                    stderr=st.stderr,
-                    threshold=threshold,
-                )
-            )
+            violations.append(Violation(**asdict(st), threshold=threshold))
     return violations

@@ -248,7 +248,7 @@ def test_criterion_7_harmonic_round_trip():
     grid_r = np.linspace(0.6, 1.6, 5)
     grid_t = np.linspace(0.4, math.pi - 0.4, 5)
     for d in sample_directions(2, 5, seed=700).directions:
-        assert slice_harmonicity_test(F, d, grid_r, grid_t, M=1024, tol=1e-3)
+        assert slice_harmonicity_test(F, Direction(tuple(d)), grid_r, grid_t, M=1024, tol=1e-3)
     return f"profile residual {form.residual:.1e}, verify {ver:.1e}, 5/5 slices harmonic"
 
 

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from starfn.cli import export_grid, load_grid, main
@@ -144,7 +145,7 @@ def test_grid_json_round_trip(tmp_path, capsys):
     assert got.theta_values == pytest.approx(want.theta_values, abs=0)
     assert got.skipped == want.skipped
     assert (got.sample.n, got.sample.seed, got.sample.count) == (2, 11, 200)
-    assert got.sample.directions == want.sample.directions
+    assert np.array_equal(got.sample.directions, want.sample.directions)
 
 
 def test_grid_without_out_prints_payload(tmp_path, capsys):

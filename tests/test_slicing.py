@@ -97,6 +97,15 @@ def test_roots_in_disk_constant_and_double_root():
     assert m == 2 and z == pytest.approx(-2.0, abs=1e-6)
 
 
+def test_roots_in_disk_triple_and_quadruple_root():
+    # an m-fold root splits by about eps^(1/m): ~1e-5 for m = 3, ~1e-4 for m = 4
+    for m, coeffs in ((3, (1, 1.5, 0.75, 0.125)), (4, (1, 2, 1.5, 0.5, 0.0625))):
+        rs = roots_in_disk(UniPoly(coeffs), 3.0)
+        assert len(rs.roots) == 1
+        z, mult = rs.roots[0]
+        assert mult == m and z == pytest.approx(-2.0, abs=1e-6)
+
+
 def test_roots_in_disk_total_multiplicity_is_degree():
     rng = np.random.default_rng(3)
     for _ in range(25):

@@ -31,25 +31,26 @@ LOG_PLUS_MEAN = math.log(2.0) - 0.375
 def test_sample_directions_determinism_and_symmetry():
     a = sample_directions(2, 400, seed=42)
     b = sample_directions(2, 400, seed=42)
-    assert a.skipped == 0
-    assert all(x.components == y.components for x, y in zip(a.directions, b.directions))
+    assert np.array_equal(a.directions, b.directions)
     c = sample_directions(2, 400, seed=43)
-    assert any(x.components != y.components for x, y in zip(a.directions, c.directions))
+    assert not np.array_equal(a.directions, c.directions)
 
     # symmetry: E|zeta_1|^2 = 1/2 on S^3
     big = sample_directions(2, 10_000, seed=42)
-    mods = np.abs(big.as_array()[:, 0]) ** 2
+    mods = np.abs(big.directions[:, 0]) ** 2
     stderr = mods.std(ddof=1) / math.sqrt(mods.size)
     assert abs(mods.mean() - 0.5) <= 3 * stderr
 
     circle = sample_directions(1, 25, seed=0)
-    assert all(len(d.components) == 1 for d in circle.directions)
-    assert circle.as_array().shape == (25, 1)
+    assert circle.directions.shape == (25, 1)
+    assert not circle.directions.flags.writeable
 
     with pytest.raises(ValueError):
         sample_directions(2, 0, seed=1)
     with pytest.raises(ValueError):
         DirectionSample(n=2, seed=1, count=3, directions=a.directions[:2])
+    with pytest.raises(ValueError):
+        DirectionSample(n=2, seed=1, count=2, directions=1.5 * a.directions[:2])
 
 
 def test_estimate_validation():
@@ -88,7 +89,7 @@ def test_counting_matches_per_direction_formula_and_integral():
     assert est.count_used == sample.count  # X = {zeta1 = zeta2} is never hit here
 
     # oracle: the slice pole sits at 1/zeta2, so N(2,inf) = max(0, log(2|zeta2|))
-    s = np.abs(sample.as_array()[:, 1])
+    s = np.abs(sample.directions[:, 1])
     oracle = np.maximum(0.0, np.log(2.0 * s))
     assert abs(est.mean - oracle.mean()) <= 1e-9
 
@@ -114,7 +115,9 @@ def test_star_several_matches_bruteforce_slice_loop():
     r, theta, M = 1.7, 1.1, 2048
     est = star_several(F, r, theta, sample, M=M)
 
-    totals = [slice_star_total(F, z, r, theta, M=M).total for z in sample.directions]
+    totals = [
+        slice_star_total(F, Direction(tuple(z)), r, theta, M=M).total for z in sample.directions
+    ]
     assert est.count_used == 32
     assert abs(est.mean - np.mean(totals)) <= 1e-9
     assert abs(est.stderr - np.std(totals, ddof=1) / math.sqrt(32)) <= 1e-9
@@ -216,27 +219,55 @@ def test_all_directions_skipped_raises():
         counting_several(shared_root, 2.0, math.inf, sample)
 
 
+def test_bad_arguments_raise_before_the_ensemble_is_built():
+    # every direction of this F is skipped, so a late check would raise
+    # AllDirectionsSkippedError instead
+    shared_root = parse_function("(1 - z1) / (1 - z1)", 2)
+    sample = sample_directions(2, 8, seed=2)
+    with pytest.raises(ValueError):
+        counting_several(shared_root, 2.0, 5.0, sample)
+    with pytest.raises(ValueError):
+        lelong_number(shared_root, 1.0, 5.0, sample)
+    with pytest.raises(ValueError):
+        star_grid(shared_root, (2.0, 1.0), (0.0, 1.0), sample, M=64)
+
+
 def test_sphere_skips_exactly_the_directions_indeterminacy_test_flags():
     # A double common factor: the two raw roots of the double root split by
     # about 1e-8, more than the tolerance, so only clustered roots see it.
     # Every slice is indeterminate and every direction must be skipped.
     F = parse_function("(1-z1)^2*(1+z2) / ((1-z1)^2*(1-z2))", 2)
     sample = sample_directions(2, 200, seed=3)
-    assert all(indeterminacy_test(F, d)[0] for d in sample.directions)
+    assert all(indeterminacy_test(F, Direction(tuple(d)))[0] for d in sample.directions)
     with pytest.raises(AllDirectionsSkippedError):
         counting_several(F, 2.0, math.inf, sample)
 
     # a sample with a few indeterminate directions among regular ones
     G = parse_function("(1-z1)^2*(1+z2) / ((1-z2)^2*(1+z1))", 2)
-    dirs = sample_directions(2, 40, seed=5).directions + (
-        Direction.of((1.0, 1.0)),
-        Direction.of((1j, 1j)),
-        Direction.of((-0.3 + 0.4j, -0.3 + 0.4j)),
-    )
+    extra = [Direction.of(v) for v in ((1.0, 1.0), (1j, 1j), (-0.3 + 0.4j, -0.3 + 0.4j))]
+    dirs = np.vstack([sample_directions(2, 40, seed=5).directions] + [d.components for d in extra])
     mixed = DirectionSample(n=2, seed=5, count=len(dirs), directions=dirs)
-    flags = [indeterminacy_test(G, d)[0] for d in dirs]
+    flags = [indeterminacy_test(G, Direction(tuple(d)))[0] for d in dirs]
     assert sum(flags) == 3
     assert counting_several(G, 2.0, math.inf, mixed).count_used == flags.count(False)
+
+
+def test_common_cube_factor_is_indeterminate_everywhere():
+    # A triple root splits into three raw roots about 1e-5 apart; clustered
+    # as one root of multiplicity 3, it cancels against the denominator's.
+    F = parse_function("(1-z1)^3*(1+z2) / ((1-z1)^3*(1-z2))", 2)
+    reduced = parse_function("(1+z2) / (1-z2)", 2)
+    sample = sample_directions(2, 200, seed=3)
+    assert all(indeterminacy_test(F, Direction(tuple(d)))[0] for d in sample.directions)
+    with pytest.raises(AllDirectionsSkippedError):
+        counting_several(F, 2.0, math.inf, sample)
+    for d in sample.directions[:20]:
+        zeta = Direction(tuple(d))
+        for a in (0, math.inf):
+            got = counting_record(F, zeta, 2.0, a)
+            want = counting_record(reduced, zeta, 2.0, a)
+            assert got.small_n == want.small_n
+            assert abs(got.big_N - want.big_N) <= 1e-9
 
 
 def _random_rational(rng, max_deg=4, terms=5):
