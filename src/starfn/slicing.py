@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -52,9 +51,11 @@ __all__ = [
     "indeterminacy_test",
 ]
 
-#: the largest multiplicity clustering recognizes: beyond it the scatter of
-#: an m-fold root, about eps^(1/m), nears a tenth of the root's own scale
-MAX_MULTIPLICITY = 8
+#: the largest multiplicity clustering recognizes.  The m-fold merge radius
+#: 8*eps^(1/m) per unit of 1 + |root| is about 1e-3 at m = 4 but 0.09 at
+#: m = 8, where the 8 distinct roots of (1-z)^8 - 1e-8, 0.077 apart on a
+#: circle of radius 0.1, would merge into one 8-fold root
+MAX_MULTIPLICITY = 4
 #: a slice is indeterminate when a clustered g-root and a clustered h-root lie
 #: within this distance: single-slice queries cancel the pair, sphere averages
 #: skip the direction
@@ -182,13 +183,16 @@ def log_moduli(roots: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(lm), np.inf, lm)
 
 
+def check_target(a: float) -> None:
+    """The counting functions count zeros (a = 0) or poles (a = inf)."""
+    if not (a == 0 or math.isinf(a)):
+        raise ValueError("target a must be 0 or inf")
+
+
 def a_points(a: float, zeros, poles):
     """The a-points of a slice: its zeros for a = 0, its poles for a = inf."""
-    if a == 0:
-        return zeros
-    if math.isinf(a):
-        return poles
-    raise ValueError("target a must be 0 or inf")
+    check_target(a)
+    return zeros if a == 0 else poles
 
 
 def big_N_rows(logroots: np.ndarray, r: float) -> np.ndarray:
@@ -214,24 +218,21 @@ def _fold_reach(m: int) -> float:
     return 2.0 * s / (1.0 - s)
 
 
-def _cluster(roots: np.ndarray) -> list[tuple[complex, int]]:
-    """Merge root approximations into (location, multiplicity) clusters.
+def _cluster(row: np.ndarray, may_merge: bool) -> list[tuple[complex, int]]:
+    """Merge one NaN-padded row of raw roots into (location, multiplicity)
+    clusters; may_merge is the row's _may_merge verdict, and without it
+    every raw root is a cluster of its own.
 
     An m-fold root computed in double precision splits into m raw roots
     about eps^(1/m) apart (~1e-8 for a double root, ~6e-6 for a triple one),
     so m raw roots are taken for one m-fold root at their centroid c when
     all of them lie within _fold_scale(m)*(1+|c|) of c.  Larger m are tried
     first, each remaining root with its m-1 nearest remaining neighbours.
-    Without two roots within the widest reach nothing can merge.
     """
-    left = [complex(z) for z in roots]
+    left = [complex(z) for z in row[~np.isnan(row)]]
     clusters: list[tuple[complex, int]] = []
-    top = min(len(left), MAX_MULTIPLICITY)
-    if top > 1 and any(
-        abs(a - b) <= _fold_reach(top) * (1.0 + max(abs(a), abs(b)))
-        for a, b in combinations(left, 2)
-    ):
-        for m in range(top, 1, -1):
+    if may_merge:
+        for m in range(min(len(left), MAX_MULTIPLICITY), 1, -1):
             i = 0
             while i < len(left) and len(left) >= m:
                 near = sorted(range(len(left)), key=lambda k: abs(left[k] - left[i]))[:m]
@@ -246,18 +247,30 @@ def _cluster(roots: np.ndarray) -> list[tuple[complex, int]]:
     return clusters
 
 
+@lru_cache(maxsize=16)
+def _pairs(width: int) -> np.ndarray:
+    """Column indices (i, j) of every pair i < j, read-only and cached."""
+    pairs = np.array(np.triu_indices(width, 1))
+    pairs.setflags(write=False)
+    return pairs
+
+
 def _may_merge(roots: np.ndarray) -> np.ndarray:
-    """Rows in which _cluster could merge roots: those where some root has
-    its (m-1)-th nearest other root within _fold_reach(m), for some m."""
+    """Rows in which _cluster could merge roots.  Two members a, b of an
+    m-fold cluster lie within _fold_reach(m)*(1 + max(|a|, |b|)) of each
+    other, and the reach grows with m, so a row without such a pair at the
+    largest m keeps its raw roots."""
     count, width = roots.shape
-    top = min(width, MAX_MULTIPLICITY)
-    reach = np.array([_fold_reach(m) for m in range(2, top + 1)])
+    i, j = _pairs(width)
+    reach = _fold_reach(MAX_MULTIPLICITY)
     close = np.zeros(count, dtype=bool)
-    for i in range(width):
-        # distances from root i to its nearest others (index 0 is root i);
-        # NaN padding sorts last and is never close
-        near = np.sort(np.abs(roots - roots[:, i : i + 1]), axis=1)[:, 1:top]
-        close |= (near <= np.outer(1.0 + np.abs(roots[:, i]), reach)).any(axis=1)
+    block = 1024  # rows per block: the pairwise distances stay small
+    for lo in range(0, count, block):
+        rows = roots[lo : lo + block]
+        mod = np.abs(rows)
+        limit = reach * (1.0 + np.maximum(mod[:, i], mod[:, j]))
+        # NaN padding is never within reach
+        close[lo : lo + block] = (np.abs(rows[:, i] - rows[:, j]) <= limit).any(axis=1)
     return close
 
 
@@ -274,9 +287,10 @@ def root_separation(g_roots: np.ndarray, h_roots: np.ndarray) -> np.ndarray:
     if g_roots.shape[1] and h_roots.shape[1]:
         dist = np.abs(g_roots[:, :, None] - h_roots[:, None, :]).reshape(count, -1)
         sep = np.where(np.isnan(dist), np.inf, dist).min(axis=1)
-    for i in np.nonzero(_may_merge(g_roots) | _may_merge(h_roots))[0]:
-        gc = _cluster(g_roots[i][~np.isnan(g_roots[i])])
-        hc = _cluster(h_roots[i][~np.isnan(h_roots[i])])
+    g_may, h_may = _may_merge(g_roots), _may_merge(h_roots)
+    for i in np.nonzero(g_may | h_may)[0]:
+        gc = _cluster(g_roots[i], g_may[i])
+        hc = _cluster(h_roots[i], h_may[i])
         sep[i] = min((abs(zg - zh) for zg, _ in gc for zh, _ in hc), default=math.inf)
     return sep
 
@@ -369,8 +383,7 @@ class CountingRecord:
     def __post_init__(self):
         if self.r <= 0:
             raise ValueError("radius must be positive")
-        if not (self.a == 0 or math.isinf(self.a)):
-            raise ValueError("target a must be 0 or inf")
+        check_target(self.a)
         if self.small_n < 0 or self.big_N < -1e-12:
             raise ValueError("counting functions are nonnegative")
 
@@ -416,8 +429,8 @@ def roots_in_disk(u: UniPoly, t: float) -> RootSet:
         raise ValueError("roots of the zero polynomial are undefined")
     if t < 0:
         raise ValueError("disk radius must be nonnegative")
-    raw = batched_roots(u.row)[0]
-    clusters = [(z, m) for z, m in _cluster(raw[~np.isnan(raw)]) if abs(z) <= t]
+    raw = batched_roots(u.row)
+    clusters = [(z, m) for z, m in _cluster(raw[0], _may_merge(raw)[0]) if abs(z) <= t]
     if not clusters:
         return RootSet(roots=(), residual_bound=0.0)
     residual = np.abs(u(np.array([z for z, _ in clusters]))).max()

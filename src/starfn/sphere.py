@@ -34,6 +34,7 @@ from .slicing import (
     a_points,
     batched_roots,
     big_N_rows,
+    check_target,
     circle_log_values,
     log_moduli,
     root_separation,
@@ -183,6 +184,10 @@ class _Ensemble:
     def skipped(self) -> int:
         return self.total - self.kept
 
+    def logroots(self, a: float) -> np.ndarray:
+        """log|z| of the a-points (zeros for a = 0, poles for a = inf)."""
+        return a_points(a, self.g_logroots, self.h_logroots)
+
 
 def _build_ensemble(F: MeroFunction, sample: DirectionSample) -> _Ensemble:
     """The slices of the sample's directions, indeterminate ones skipped."""
@@ -269,18 +274,18 @@ def counting_several(F: MeroFunction, r: float, a: float, sample: DirectionSampl
     """Mean of N(r, a; F_zeta) over the sample's directions."""
     if r <= 0:
         raise ValueError("r must be positive")
-    field = a_points(a, "g_logroots", "h_logroots")
+    check_target(a)
     ens = _build_ensemble(F, sample)
-    return _estimate(big_N_rows(getattr(ens, field), r), ens.kept)
+    return _estimate(big_N_rows(ens.logroots(a), r), ens.kept)
 
 
 def lelong_number(F: MeroFunction, t: float, a: float, sample: DirectionSample) -> Estimate:
     """Mean of n(t, a; F_zeta): the density of the a-divisor at scale t."""
     if t <= 0:
         raise ValueError("t must be positive")
-    field = a_points(a, "g_logroots", "h_logroots")
+    check_target(a)
     ens = _build_ensemble(F, sample)
-    return _estimate(small_n_rows(getattr(ens, field), t), ens.kept)
+    return _estimate(small_n_rows(ens.logroots(a), t), ens.kept)
 
 
 def star_grid(

@@ -106,6 +106,16 @@ def test_roots_in_disk_triple_and_quadruple_root():
         assert mult == m and z == pytest.approx(-2.0, abs=1e-6)
 
 
+def test_roots_in_disk_keeps_a_tight_ring_of_distinct_roots():
+    # (1-z)^8 - 1e-8 has 8 simple roots on the circle |z - 1| = 0.1, 0.077
+    # apart: an 8-fold merge radius of ~0.09 would take them for one root
+    coeffs = [math.comb(8, k) * (-1) ** k for k in range(9)]
+    coeffs[0] -= 1e-8
+    rs = roots_in_disk(UniPoly(tuple(coeffs)), 3.0)
+    assert [m for _, m in rs.roots] == [1] * 8
+    assert all(abs(abs(z - 1.0) - 0.1) <= 1e-6 for z, _ in rs.roots)
+
+
 def test_roots_in_disk_total_multiplicity_is_degree():
     rng = np.random.default_rng(3)
     for _ in range(25):

@@ -270,6 +270,19 @@ def test_common_cube_factor_is_indeterminate_everywhere():
             assert abs(got.big_N - want.big_N) <= 1e-9
 
 
+def test_ring_of_zeros_around_a_pole_is_not_indeterminate():
+    # g's zeros lie on a circle of radius 0.1/|zeta_1| around h's pole
+    # 1/zeta_1, so their centroid is the pole: taken for one 8-fold zero,
+    # the ring would cancel against it and the sphere would skip the slice
+    F = parse_function("((1-z1)^8 - 1e-8) / (1-z1)", 2)
+    sample = sample_directions(2, 200, seed=3)
+    assert not any(indeterminacy_test(F, Direction(tuple(d)))[0] for d in sample.directions)
+    assert counting_several(F, 2.0, 0, sample).count_used == 200
+    div = slice_divisor(F, Direction(tuple(sample.directions[0])))
+    assert [m for _, m in div.zeros] == [1] * 8 and [m for _, m in div.poles] == [1]
+    assert div.cancelled == ()
+
+
 def _random_rational(rng, max_deg=4, terms=5):
     def random_poly():
         d = {}
