@@ -21,6 +21,8 @@ import sys
 
 from .funcdef import MeroFunction, load_function
 from .harmonicform import (
+    HARMONIC_TOL,
+    REAL_TOL,
     detect_harmonic_form,
     load_canonical_product,
     product_taylor_coeffs,
@@ -259,7 +261,7 @@ def run(cfg: RunConfig) -> int:
 
     if cfg.command == "check-harmonic-slice":
         F = _load_fn(cfg)
-        tol = cfg.tol if cfg.tol is not None else 1e-3
+        tol = cfg.tol if cfg.tol is not None else HARMONIC_TOL
         r_values, theta_values = _grid_axes(cfg)
         ok = slice_harmonicity_test(
             F,
@@ -276,7 +278,7 @@ def run(cfg: RunConfig) -> int:
 
     if cfg.command == "detect-harmonic":
         F = _load_fn(cfg)
-        tol = cfg.tol if cfg.tol is not None else 1e-9
+        tol = cfg.tol if cfg.tol is not None else REAL_TOL
         report = detect_harmonic_form(F, tol=tol)
         payload = {
             "detected": report.detected,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Sequence
@@ -32,11 +31,13 @@ from typing import Sequence
 import numpy as np
 
 from .funcdef import MeroFunction, MultiPoly, homogeneous_parts
-from .slicing import Direction, horner_rows, slice_coefficients, slice_divisor
+from .slicing import Direction, UniPoly, horner_rows, roots_in_disk, slice_coefficients, slice_divisor
 from .sphere import mean_value_differences
-from .starcore import bathtub, divisor_samples
+from .starcore import star_rows
 
 __all__ = [
+    "HARMONIC_TOL",
+    "REAL_TOL",
     "CanonicalProduct",
     "TaylorCoeffs",
     "HarmonicForm",
@@ -53,6 +54,8 @@ __all__ = [
 REAL_TOL = 1e-9
 #: angular tolerance (radians) for the ray geometry of the reconstructed P
 RAY_TOL = 1e-6
+#: largest |circle mean - centre| of T* that the harmonic-slice test accepts
+HARMONIC_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -119,14 +122,12 @@ class DetectionReport:
 
 
 def load_canonical_product(source) -> CanonicalProduct:
-    """Read {"gamma": g, "theta": t, "zeros": [...], "poles": [...]}."""
+    """Read {"gamma": g, "theta": t, "zeros": [...], "poles": [...]} or a JSON file of it."""
     if isinstance(source, dict):
         data = source
-    elif isinstance(source, (str, os.PathLike)):
+    else:
         with open(source, encoding="utf-8") as fh:
             data = json.load(fh)
-    else:
-        data = json.load(source)
     return CanonicalProduct(
         gamma=float(data.get("gamma", 0.0)),
         rotation=float(data.get("theta", 0.0)),
@@ -309,9 +310,9 @@ def detect_harmonic_form(F: MeroFunction, tol: float = REAL_TOL) -> DetectionRep
         profile.append(c_k)
 
     num, den = _pade_split(profile, F.numerator.degree(), F.denominator.degree())
-    with np.errstate(all="ignore"):
-        zeros = np.roots(num[::-1]) if len(num) > 1 else np.array([])
-        pole_pts = np.roots(den[::-1]) if len(den) > 1 else np.array([])
+    # clustered, so that a multiple zero or pole is one point on its ray
+    zeros = [z for z, _ in roots_in_disk(UniPoly(tuple(num)), math.inf).roots]
+    pole_pts = [z for z, _ in roots_in_disk(UniPoly(tuple(den)), math.inf).roots]
     theta_hat, aligned, max_dev = ray_alignment(zeros, pole_pts)
     ray = (theta_hat if theta_hat is not None else 0.0, max_dev)
 
@@ -371,7 +372,7 @@ def slice_harmonicity_test(
     r_values: Sequence[float],
     theta_values: Sequence[float],
     M: int = 1024,
-    tol: float = 1e-3,
+    tol: float = HARMONIC_TOL,
     rho: float | None = None,
     circle_nodes: int = 8,
 ) -> bool:
@@ -379,16 +380,15 @@ def slice_harmonicity_test(
 
     True iff |circle mean - center| <= tol at every interior grid point.
     The subharmonic inequality always holds; equality at every point is the
-    signature of a harmonic slice.  This is the stencil of
-    ``subharmonicity_stats`` on the one direction zeta: the divisor is built
-    once, and each node radius costs one circle evaluation and one sort.
+    signature of a harmonic slice.  This is ``subharmonicity_stats``, stencil
+    and T* kernel, on the one direction zeta: the poles are found once, and
+    each node radius costs one circle evaluation and one sort.
     """
     div = slice_divisor(F, zeta)
+    g, h, poles = div.pair.g.row, div.pair.h.row, div.logroots(math.inf)
 
     def totals(radius: float, thetas: list[float]) -> np.ndarray:
-        prof = divisor_samples(div, radius, M).profile
-        fstar = bathtub(prof.sorted_values, prof.prefix_sums, thetas)
-        return (fstar + div.big_N(radius, math.inf))[:, None]
+        return star_rows(g, h, poles, radius, thetas, M)
 
-    diffs = mean_value_differences(r_values, theta_values, rho, circle_nodes, totals, 1)
+    diffs = mean_value_differences(r_values, theta_values, rho, circle_nodes, totals)
     return bool(np.all(np.abs(diffs) <= tol))

@@ -33,6 +33,7 @@ from .funcdef import MeroFunction, MultiPoly
 
 __all__ = [
     "INDETERMINACY_TOL",
+    "MIN_NODES",
     "Direction",
     "UniPoly",
     "SlicePair",
@@ -63,6 +64,8 @@ INDETERMINACY_TOL = 1e-9
 #: leading coefficients below this relative size are noise from collection
 LEADING_TRIM = 1e-13
 
+#: the fewest nodes a circle evaluation takes, checked in midpoint_angles
+MIN_NODES = 16
 #: how far a direction's norm may be from 1
 NORM_TOL = 1e-14
 _EPS = float(np.finfo(float).eps)
@@ -490,8 +493,8 @@ def counting_record(F: MeroFunction, zeta: Direction, r: float, a: float) -> Cou
 
 def midpoint_angles(M: int) -> np.ndarray:
     """M midpoint-rule angles in (-pi, pi); nodes avoid exact axis angles."""
-    if M < 1:
-        raise ValueError("need at least one node")
+    if M < MIN_NODES:
+        raise ValueError(f"M must be at least {MIN_NODES}, got {M}")
     return -math.pi + (np.arange(M) + 0.5) * (2.0 * math.pi / M)
 
 
@@ -507,8 +510,6 @@ def jensen_residual(F: MeroFunction, zeta: Direction, r: float, M: int) -> float
     """|N(r,0) - N(r,inf) - circle mean of log|F|| with M midpoint nodes."""
     if r <= 0:
         raise ValueError("r must be positive")
-    if M < 16:
-        raise ValueError("M must be at least 16")
     div = slice_divisor(F, zeta)
     roots = [z for z, _ in div.zeros + div.poles]
     roots += [z for zg, zh, _ in div.cancelled for z in (zg, zh)]

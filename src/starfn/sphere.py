@@ -11,17 +11,15 @@ estimated by Monte Carlo with directions drawn uniformly on S^{2n-1}
 measure zero, so skips are rare and the estimate is unbiased in the limit.
 
 Everything slice-related is evaluated for all directions at once, with the
-batched primitives of ``slicing`` and ``starcore`` that the single-slice API
-runs on a batch of one.  Estimates use numpy's pairwise summation, so
-results are bit-identical for a fixed seed regardless of the STARFN_THREADS
-chunking.
+batched primitives of ``slicing`` and the T* kernel ``starcore.star_rows``
+that the single-slice API runs on a batch of one.  Estimates use numpy's
+pairwise summation, so results are bit-identical for a fixed seed regardless
+of the STARFN_THREADS chunking.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -29,23 +27,20 @@ import numpy as np
 
 from .funcdef import MeroFunction
 from .slicing import (
-    INDETERMINACY_TOL as SKIP_TOL,
+    INDETERMINACY_TOL,
     NORM_TOL,
     a_points,
     batched_roots,
     big_N_rows,
     check_target,
-    circle_log_values,
     log_moduli,
     root_separation,
     slice_coefficients,
     small_n_rows,
-    unit_nodes,
 )
-from .starcore import bathtub, rearrange, sanitize_log_values
+from .starcore import star_rows
 
 __all__ = [
-    "SKIP_TOL",
     "AllDirectionsSkippedError",
     "DirectionSample",
     "Estimate",
@@ -197,10 +192,10 @@ def _build_ensemble(F: MeroFunction, sample: DirectionSample) -> _Ensemble:
     h_coef = slice_coefficients(F.denominator, sample.directions)
     g_roots = batched_roots(g_coef)
     h_roots = batched_roots(h_coef)
-    keep = root_separation(g_roots, h_roots) > SKIP_TOL
+    keep = root_separation(g_roots, h_roots) > INDETERMINACY_TOL
     if not keep.any():
         raise AllDirectionsSkippedError(
-            "all sampled directions were near-indeterminate (tol %.1e)" % SKIP_TOL
+            "all sampled directions were near-indeterminate (tol %.1e)" % INDETERMINACY_TOL
         )
     return _Ensemble(
         total=sample.count,
@@ -209,38 +204,6 @@ def _build_ensemble(F: MeroFunction, sample: DirectionSample) -> _Ensemble:
         g_logroots=log_moduli(g_roots[keep]),
         h_logroots=log_moduli(h_roots[keep]),
     )
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("STARFN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _star_values(ens: _Ensemble, r: float, thetas: Sequence[float], M: int) -> np.ndarray:
-    """T* = F* + N(r, inf) per kept direction at each theta: array
-    (len(thetas), kept)."""
-    w = r * unit_nodes(M)
-    kept = ens.kept
-    out = np.empty((len(thetas), kept))
-    chunk = 256  # rows per block: temporaries stay in cache; work() is row-wise
-    spans = [(lo, min(lo + chunk, kept)) for lo in range(0, kept, chunk)]
-
-    def work(span: tuple[int, int]) -> None:
-        lo, hi = span
-        vals, _ = sanitize_log_values(circle_log_values(ens.g_coef[lo:hi], ens.h_coef[lo:hi], w))
-        out[:, lo:hi] = bathtub(*rearrange(vals), thetas)
-
-    threads = _thread_count()
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, spans))
-    else:
-        for span in spans:
-            work(span)
-    out += big_N_rows(ens.h_logroots, r)
-    return out
 
 
 def _estimate(values: np.ndarray, count_used: int) -> Estimate:
@@ -267,7 +230,7 @@ def star_several(
     if r <= 0:
         raise ValueError("r must be positive")
     ens = _build_ensemble(F, sample)
-    return _estimate(_star_values(ens, r, [theta], M)[0], ens.kept)
+    return _estimate(star_rows(ens.g_coef, ens.h_coef, ens.h_logroots, r, [theta], M)[0], ens.kept)
 
 
 def counting_several(F: MeroFunction, r: float, a: float, sample: DirectionSample) -> Estimate:
@@ -308,7 +271,7 @@ def star_grid(
     ens = _build_ensemble(F, sample)
     rows = []
     for r in r_values:
-        totals = _star_values(ens, r, theta_values, M)
+        totals = star_rows(ens.g_coef, ens.h_coef, ens.h_logroots, r, theta_values, M)
         rows.append(tuple(_estimate(totals[ti], ens.kept) for ti in range(len(theta_values))))
     return StarGrid(
         r_values=r_values,
@@ -342,7 +305,6 @@ def mean_value_differences(
     rho: float | None,
     circle_nodes: int,
     totals: Callable[[float, list[float]], np.ndarray],
-    columns: int,
 ) -> np.ndarray:
     """Circle mean minus centre value of T* at every interior grid point.
 
@@ -383,9 +345,12 @@ def mean_value_differences(
                     raise ValueError("circle node leaves the closed upper half-plane")
                 rings.setdefault(float(radii[c]), []).append((th, ii, jj))
 
-    acc = np.zeros((len(interior_r), len(interior_t), columns))
+    acc = None
     for radius, entries in rings.items():
-        for row, (_, ii, jj) in zip(totals(radius, [e[0] for e in entries]), entries):
+        ring = totals(radius, [e[0] for e in entries])
+        if acc is None:
+            acc = np.zeros((len(interior_r), len(interior_t), ring.shape[1]))
+        for row, (_, ii, jj) in zip(ring, entries):
             acc[ii, jj] += row
     for ii, r in enumerate(interior_r):
         acc[ii] = acc[ii] / circle_nodes - totals(r, interior_t)
@@ -414,8 +379,7 @@ def subharmonicity_stats(
         theta_values,
         rho,
         circle_nodes,
-        lambda radius, thetas: _star_values(ens, radius, thetas, M),
-        ens.kept,
+        lambda radius, thetas: star_rows(ens.g_coef, ens.h_coef, ens.h_logroots, radius, thetas, M),
     )
     stats = []
     for ii, r in enumerate(r_values[1:-1]):

@@ -16,19 +16,26 @@ are computed here from the same samples and must agree to ~1e-10; their
 agreement is one of the package's standing cross-checks.
 
 ``rearrange`` (sort and prefix sums) and ``bathtub`` (the lookup) work on
-rows, so the sphere averages run them on all sampled directions at once.
+rows, and ``star_rows``, the one T* kernel, runs them on the slice
+coefficients of all sampled directions or of a single one.  Circle samples
+need no roots: a common factor of g and h cancels in log|g/h| up to rounding.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .funcdef import MeroFunction
-from .slicing import Direction, SliceDivisor, circle_log_values, slice_divisor, unit_nodes
+from .slicing import (
+    MIN_NODES, Direction, SlicePair, big_N_rows, circle_log_values, make_slice, slice_divisor,
+    unit_nodes,
+)
 
 __all__ = [
     "LOG_FLOOR",
@@ -40,6 +47,7 @@ __all__ = [
     "circle_log_samples",
     "sanitize_log_values",
     "star_rearranged",
+    "star_rows",
     "level_threshold",
     "star_thresholded",
     "slice_star_total",
@@ -67,8 +75,8 @@ class CircleSamples:
     def __post_init__(self):
         if self.r <= 0:
             raise ValueError("radius must be positive")
-        if self.M < 16:
-            raise ValueError("need at least 16 samples")
+        if self.M < MIN_NODES:
+            raise ValueError(f"need at least {MIN_NODES} samples")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.M,):
             raise ValueError("values must have length M")
@@ -191,18 +199,42 @@ def sanitize_log_values(vals: np.ndarray) -> tuple[np.ndarray, int]:
     return np.clip(vals, LOG_FLOOR, LOG_CEILING), clipped
 
 
-def divisor_samples(div: SliceDivisor, r: float, M: int) -> CircleSamples:
-    """Circle samples of the slice with the divisor's cancelled pairs removed."""
+def star_rows(
+    g_coef: np.ndarray, h_coef: np.ndarray, pole_logroots: np.ndarray, r: float, thetas, M: int
+) -> np.ndarray:
+    """T* = F* + N(r, inf) at each theta for the slices g_coef/h_coef with
+    poles at log-moduli pole_logroots, one per row: array (len(thetas), rows).
+    Rows run in blocks on STARFN_THREADS threads; a row's arithmetic does
+    not depend on its block, so neither does the result."""
     w = r * unit_nodes(M)
-    vals = circle_log_values(div.pair.g.row, div.pair.h.row, w)[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # shared g/h roots are removable factors of the slice, not features
-        # of |F_zeta|; subtract their (nearly cancelling) log contributions
-        for zg, zh, m in div.cancelled:
-            if zg != zh:
-                vals -= m * (np.log(np.abs(w - zg)) - np.log(np.abs(w - zh)))
+    rows = g_coef.shape[0]
+    out = np.empty((len(thetas), rows))
+    chunk = 256  # rows per block: temporaries stay in cache; work() is row-wise
+    spans = [(lo, min(lo + chunk, rows)) for lo in range(0, rows, chunk)]
+
+    def work(span: tuple[int, int]) -> None:
+        lo, hi = span
+        vals, _ = sanitize_log_values(circle_log_values(g_coef[lo:hi], h_coef[lo:hi], w))
+        out[:, lo:hi] = bathtub(*rearrange(vals), thetas)
+
+    try:
+        threads = int(os.environ.get("STARFN_THREADS", "1"))
+    except ValueError:
+        threads = 1
+    if threads > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(work, spans))
+    else:
+        for span in spans:
+            work(span)
+    out += big_N_rows(pole_logroots, r)
+    return out
+
+
+def _pair_samples(pair: SlicePair, r: float, M: int) -> CircleSamples:
+    vals = circle_log_values(pair.g.row, pair.h.row, r * unit_nodes(M))[0]
     vals, clipped = sanitize_log_values(vals)
-    return CircleSamples(r=float(r), direction=div.pair.direction, M=M, values=vals, clipped=clipped)
+    return CircleSamples(r=float(r), direction=pair.direction, M=M, values=vals, clipped=clipped)
 
 
 def circle_log_samples(F: MeroFunction, zeta: Direction, r: float, M: int = 4096) -> CircleSamples:
@@ -211,9 +243,7 @@ def circle_log_samples(F: MeroFunction, zeta: Direction, r: float, M: int = 4096
     If g_zeta and h_zeta share roots (indeterminate direction) the cancelled
     slice is sampled, consistent with the counting functions.
     """
-    if M < 16:
-        raise ValueError("M must be at least 16")
-    return divisor_samples(slice_divisor(F, zeta), r, M)
+    return _pair_samples(make_slice(F, zeta), r, M)
 
 
 def star_rearranged(samples: CircleSamples, theta: float) -> float:
@@ -247,6 +277,6 @@ def slice_star_total(
 ) -> StarValue:
     """T*(re^{i theta}, F_zeta) = rearranged star + N(r, inf; F_zeta)."""
     div = slice_divisor(F, zeta)
-    fstar = star_rearranged(divisor_samples(div, r, M), theta)
+    fstar = star_rearranged(_pair_samples(div.pair, r, M), theta)
     n_inf = div.big_N(r, math.inf)
     return StarValue(r=float(r), theta=float(theta), fstar=fstar, big_N_inf=n_inf, total=fstar + n_inf)

@@ -172,6 +172,22 @@ def test_detect_rational_form_via_pade():
     assert verify_harmonic_form(F, rep.form) <= 1e-10
 
 
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize(
+    "template",
+    ["(1 + 0.5*z1 + 0.25*z2)^{m}", "1 / (1 - 0.5*z1 - 0.25*z2)^{m}"],
+    ids=["zero", "pole"],
+)
+def test_detect_multiple_zero_or_pole_on_its_ray(template, m):
+    # unclustered, an m-fold root splits into m raw roots ~eps^(1/m) apart,
+    # which leaves the ray by far more than RAY_TOL
+    F = parse_function(template.format(m=m), 2)
+    rep = detect_harmonic_form(F)
+    assert rep.detected
+    assert rep.ray[1] <= 1e-9
+    assert verify_harmonic_form(F, rep.form) <= 1e-10
+
+
 def test_detect_round_trip_from_random_products():
     rng = np.random.default_rng(7)
     for _ in range(5):

@@ -1,7 +1,9 @@
 """Module boundaries inside the starfn package.
 
 A module may use another starfn module only through its public
-(non-underscore) names, so that every shared routine has one visible home.
+(non-underscore) names, so that every shared routine has one visible home,
+and only the modules before it in LAYERS, the order the package docstring
+lists them in.
 """
 
 import ast
@@ -11,6 +13,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "starfn"
 MODULES = sorted(PACKAGE.glob("*.py"))
+LAYERS = ("funcdef", "slicing", "starcore", "sphere", "harmonicform", "cli")
 
 
 def _private_imports(path: Path) -> list[str]:
@@ -28,6 +31,28 @@ def _private_imports(path: Path) -> list[str]:
     return found
 
 
+def _starfn_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, module) for every starfn module that path imports."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                names = [node.module or ""]
+            elif node.module:
+                names = ["starfn." + node.module]
+            else:  # from . import x
+                names = ["starfn." + alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            package, _, module = name.partition(".")
+            if package == "starfn":
+                found.append((node.lineno, module.partition(".")[0]))
+    return found
+
+
 def test_package_has_modules():
     assert len(MODULES) >= 7
 
@@ -35,3 +60,18 @@ def test_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_names_imported_across_modules(path):
     assert _private_imports(path) == []
+
+
+def test_layers_cover_the_package():
+    assert sorted(LAYERS) == sorted(p.stem for p in MODULES if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_modules_import_only_earlier_layers(layer):
+    rank = LAYERS.index(layer)
+    upward = [
+        f"{layer}.py:{line} imports {module or 'starfn'}"
+        for line, module in _starfn_imports(PACKAGE / f"{layer}.py")
+        if module not in LAYERS[:rank]
+    ]
+    assert upward == []

@@ -232,6 +232,14 @@ def test_bad_arguments_raise_before_the_ensemble_is_built():
         star_grid(shared_root, (2.0, 1.0), (0.0, 1.0), sample, M=64)
 
 
+def test_sphere_averages_reject_too_few_circle_nodes():
+    sample = sample_directions(2, 8, seed=2)
+    with pytest.raises(ValueError):
+        star_several(RATIO, 1.0, 1.0, sample, M=8)
+    with pytest.raises(ValueError):
+        star_grid(RATIO, (0.5, 1.0), (0.5, 1.0), sample, M=8)
+
+
 def test_sphere_skips_exactly_the_directions_indeterminacy_test_flags():
     # A double common factor: the two raw roots of the double root split by
     # about 1e-8, more than the tolerance, so only clustered roots see it.

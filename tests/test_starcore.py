@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from starfn.funcdef import MeroFunction, MultiPoly, parse_function
-from starfn.slicing import Direction, counting_big_N
+from starfn.slicing import Direction, counting_big_N, slice_divisor
+from starfn.sphere import sample_directions
 from starfn.starcore import (
     LOG_CEILING,
     LOG_FLOOR,
@@ -198,6 +199,26 @@ def test_degenerate_direction_gives_zero_star():
     assert np.all(s.values == 0.0)
     sv = slice_star_total(f, zeta0, 2.0, math.pi / 2, M=512)
     assert sv.total == 0.0
+
+
+def test_cancelled_slice_samples_match_the_reduced_function():
+    # g and h share the double root 1/zeta_1 of (1 - z zeta_1)^2; it cancels
+    # in log|g| - log|h| up to rounding, as in the divisor
+    F = parse_function("(1-z1)^2*(1+z2) / ((1-z1)^2*(1-z2))", 2)
+    reduced = parse_function("(1+z2) / (1-z2)", 2)
+    inexact = 0
+    for row in sample_directions(2, 200, seed=3).directions:
+        zeta = Direction(tuple(row))
+        inexact += any(zg != zh for zg, zh, _ in slice_divisor(F, zeta).cancelled)
+        for r in (0.5, 1.0, 2.0):
+            got = circle_log_samples(F, zeta, r, 1024).values
+            want = circle_log_samples(reduced, zeta, r, 1024).values
+            assert np.abs(got - want).max() <= 1e-9
+            for theta in (math.pi / 3, math.pi):
+                got = slice_star_total(F, zeta, r, theta, M=1024)
+                want = slice_star_total(reduced, zeta, r, theta, M=1024)
+                assert abs(got.total - want.total) <= 1e-12
+    assert inexact > 100
 
 
 def test_fstar_continuity_toward_degenerate_direction():
