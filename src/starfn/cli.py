@@ -7,6 +7,10 @@ function of (function file bytes, flags, seed): grids are evaluated with
 seeded Monte Carlo and exported with fixed 17-significant-digit formatting,
 so re-runs are byte-identical.
 
+argparse is the one description of the command line: each flag carries its
+default and each subparser its handler (``set_defaults(handler=...)``);
+``main`` calls ``args.handler(args)``, and the library checks the values.
+
 Exit codes: 0 success, 1 verification failure (a violation, an
 over-tolerance residual, or a negative detection), 2 usage/parse errors.
 """
@@ -31,6 +35,7 @@ from .harmonicform import (
 from .slicing import Direction, jensen_residual
 from .sphere import (
     AllDirectionsSkippedError,
+    DirectionSample,
     Estimate,
     StarGrid,
     counting_several,
@@ -40,51 +45,9 @@ from .sphere import (
     star_several,
     subharmonicity_report,
 )
-from .starcore import slice_star_total
+from .starcore import check_circle, slice_star_total
 
-__all__ = ["RunConfig", "run", "export_grid", "load_grid", "main"]
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one command plus every knob it may need."""
-
-    command: str
-    fn_path: str | None = None
-    zeta: tuple[complex, ...] | None = None
-    r: float = 2.0
-    theta: float = 0.0
-    a: float = math.inf
-    t: float = 1.0
-    r_min: float = 0.5
-    r_max: float = 2.0
-    r_steps: int = 5
-    theta_min: float = 0.3
-    theta_max: float = math.pi - 0.3
-    theta_steps: int = 5
-    samples: int = 1000
-    circle: int = 4096
-    seed: int = 0
-    tol: float | None = None
-    rho: float | None = None
-    circle_nodes: int = 8
-    order: int = 8
-    product_path: str | None = None
-    out: str | None = None
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError("theta must lie in [0, pi]")
-        for name in ("r", "t", "samples", "circle", "r_steps", "theta_steps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
-
-
-def _fmt17(x: float) -> str:
-    return "%.17g" % x
+__all__ = ["export_grid", "load_grid", "main"]
 
 
 def export_grid(grid: StarGrid, path: str, fmt: str = "csv") -> None:
@@ -93,17 +56,8 @@ def export_grid(grid: StarGrid, path: str, fmt: str = "csv") -> None:
         lines = ["r,theta,mean,stderr,count_used"]
         for r, row in zip(grid.r_values, grid.cells):
             for theta, cell in zip(grid.theta_values, row):
-                lines.append(
-                    ",".join(
-                        (
-                            _fmt17(r),
-                            _fmt17(theta),
-                            _fmt17(cell.mean),
-                            _fmt17(cell.stderr),
-                            str(cell.count_used),
-                        )
-                    )
-                )
+                row_values = (r, theta, cell.mean, cell.stderr, cell.count_used)
+                lines.append("%.17g,%.17g,%.17g,%.17g,%d" % row_values)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     elif fmt == "json":
@@ -147,160 +101,125 @@ def load_grid(path: str) -> StarGrid:
     )
 
 
-def _emit(payload: dict) -> None:
+def _emit(payload: dict, ok: bool = True) -> int:
+    """Print payload as one JSON line; the exit status is 0 if ok, else 1."""
     json.dump(payload, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
+    return 0 if ok else 1
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
-
-
-def _parse_zeta(text: str) -> tuple[complex, ...]:
+def _direction(text: str) -> Direction:
     parts = [p.strip().replace("i", "j") for p in text.split(",")]
     try:
-        return tuple(complex(p) for p in parts)
+        components = tuple(complex(p) for p in parts)
     except ValueError as exc:
         raise ValueError(f"bad zeta component in {text!r}: {exc}") from None
+    return Direction.of(components)
 
 
-def _load_fn(cfg: RunConfig) -> MeroFunction:
-    if cfg.fn_path is None:
-        raise ValueError("this command needs --fn")
-    return load_function(cfg.fn_path)
-
-
-def _zeta_direction(cfg: RunConfig) -> Direction:
-    if cfg.zeta is None:
-        raise ValueError("this command needs --zeta")
-    return Direction.of(cfg.zeta)
-
-
-def _grid_axes(cfg: RunConfig) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    def linspace(lo: float, hi: float, steps: int) -> tuple[float, ...]:
+def _grid_axes(args: argparse.Namespace) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    def linspace(lo: float, hi: float, steps: int, name: str) -> tuple[float, ...]:
+        if steps <= 0:
+            raise ValueError(f"{name} must be positive")
         if steps == 1:
             return (lo,)
         h = (hi - lo) / (steps - 1)
         return tuple(lo + i * h for i in range(steps))
 
     return (
-        linspace(cfg.r_min, cfg.r_max, cfg.r_steps),
-        linspace(cfg.theta_min, cfg.theta_max, cfg.theta_steps),
+        linspace(args.r_min, args.r_max, args.r_steps, "r_steps"),
+        linspace(args.theta_min, args.theta_max, args.theta_steps, "theta_steps"),
     )
 
 
-def run(cfg: RunConfig) -> int:
-    """Dispatch one command; returns the process exit status."""
-    if cfg.command == "slice-star":
-        F = _load_fn(cfg)
-        val = slice_star_total(F, _zeta_direction(cfg), cfg.r, cfg.theta, M=cfg.circle)
-        _emit(dataclasses.asdict(val))
-        return 0
+def _sampled(args: argparse.Namespace) -> tuple[MeroFunction, DirectionSample]:
+    F = load_function(args.fn_path)
+    return F, sample_directions(F.n, args.samples, args.seed)
 
-    if cfg.command in ("star", "counting", "lelong"):
-        F = _load_fn(cfg)
-        sample = sample_directions(F.n, cfg.samples, cfg.seed)
-        if cfg.command == "star":
-            est = star_several(F, cfg.r, cfg.theta, sample, M=cfg.circle)
-        elif cfg.command == "counting":
-            est = counting_several(F, cfg.r, cfg.a, sample)
-        else:
-            est = lelong_number(F, cfg.t, cfg.a, sample)
-        _emit({**dataclasses.asdict(est), "skipped": sample.count - est.count_used})
-        return 0
 
-    if cfg.command == "grid":
-        F = _load_fn(cfg)
-        sample = sample_directions(F.n, cfg.samples, cfg.seed)
-        r_values, theta_values = _grid_axes(cfg)
-        grid = star_grid(F, r_values, theta_values, sample, M=cfg.circle)
-        if cfg.out:
-            export_grid(grid, cfg.out, cfg.fmt)
-            _emit({"out": cfg.out, "format": cfg.fmt, "skipped": grid.skipped})
-        else:
-            _emit(_grid_payload(grid))
-        return 0
+def _emit_estimate(est: Estimate, sample: DirectionSample) -> int:
+    return _emit({**dataclasses.asdict(est), "skipped": sample.count - est.count_used})
 
-    if cfg.command == "check-jensen":
-        F = _load_fn(cfg)
-        tol = cfg.tol if cfg.tol is not None else 1e-6
-        residual = jensen_residual(F, _zeta_direction(cfg), cfg.r, cfg.circle)
-        ok = residual <= tol
-        _emit({"residual": residual, "tol": tol, "pass": ok})
-        return 0 if ok else 1
 
-    if cfg.command == "check-subharmonic":
-        F = _load_fn(cfg)
-        sample = sample_directions(F.n, cfg.samples, cfg.seed)
-        r_values, theta_values = _grid_axes(cfg)
-        violations = subharmonicity_report(
-            F,
-            r_values,
-            theta_values,
-            sample,
-            M=cfg.circle,
-            rho=cfg.rho,
-            circle_nodes=cfg.circle_nodes,
-        )
-        _emit(
-            {
-                "violations": [
-                    {
-                        "r": v.r,
-                        "theta": v.theta,
-                        "mean_diff": v.mean_diff,
-                        "stderr": v.stderr,
-                        "threshold": v.threshold,
-                    }
-                    for v in violations
-                ],
-                "count": len(violations),
-            }
-        )
-        return 0 if not violations else 1
+def _slice_star(args: argparse.Namespace) -> int:
+    zeta = _direction(args.zeta)
+    F = load_function(args.fn_path)
+    return _emit(dataclasses.asdict(slice_star_total(F, zeta, args.r, args.theta, M=args.circle)))
 
-    if cfg.command == "check-harmonic-slice":
-        F = _load_fn(cfg)
-        tol = cfg.tol if cfg.tol is not None else HARMONIC_TOL
-        r_values, theta_values = _grid_axes(cfg)
-        ok = slice_harmonicity_test(
-            F,
-            _zeta_direction(cfg),
-            r_values,
-            theta_values,
-            M=cfg.circle,
-            tol=tol,
-            rho=cfg.rho,
-            circle_nodes=cfg.circle_nodes,
-        )
-        _emit({"harmonic": ok, "tol": tol})
-        return 0 if ok else 1
 
-    if cfg.command == "detect-harmonic":
-        F = _load_fn(cfg)
-        tol = cfg.tol if cfg.tol is not None else REAL_TOL
-        report = detect_harmonic_form(F, tol=tol)
-        payload = {
-            "detected": report.detected,
-            "per_degree_residuals": list(report.per_degree_residuals),
-            "ray": list(report.ray) if report.ray is not None else None,
-        }
-        if report.form is not None:
-            payload["eta"] = [_complex_pair(e) for e in report.form.eta]
-            payload["profile"] = [_complex_pair(c) for c in report.form.profile]
-            payload["residual"] = report.form.residual
-        _emit(payload)
-        return 0 if report.detected else 1
+def _star(args: argparse.Namespace) -> int:
+    check_circle([args.theta], args.circle)  # before the sample is drawn
+    F, sample = _sampled(args)
+    return _emit_estimate(star_several(F, args.r, args.theta, sample, M=args.circle), sample)
 
-    if cfg.command == "product-taylor":
-        if cfg.product_path is None:
-            raise ValueError("product-taylor needs --product")
-        cp = load_canonical_product(cfg.product_path)
-        tc = product_taylor_coeffs(cp, cfg.order)
-        _emit({**dataclasses.asdict(tc), "coeffs": [_complex_pair(c) for c in tc.coeffs]})
-        return 0
 
-    raise ValueError(f"unknown command {cfg.command!r}")
+def _counting(args: argparse.Namespace) -> int:
+    a = float(args.a)
+    F, sample = _sampled(args)
+    return _emit_estimate(counting_several(F, args.r, a, sample), sample)
+
+
+def _lelong(args: argparse.Namespace) -> int:
+    a = float(args.a)
+    F, sample = _sampled(args)
+    return _emit_estimate(lelong_number(F, args.t, a, sample), sample)
+
+
+def _grid(args: argparse.Namespace) -> int:
+    axes = _grid_axes(args)
+    F, sample = _sampled(args)
+    grid = star_grid(F, *axes, sample, M=args.circle)
+    if args.out:
+        export_grid(grid, args.out, args.fmt)
+        return _emit({"out": args.out, "format": args.fmt, "skipped": grid.skipped})
+    return _emit(_grid_payload(grid))
+
+
+def _check_jensen(args: argparse.Namespace) -> int:
+    zeta = _direction(args.zeta)
+    residual = jensen_residual(load_function(args.fn_path), zeta, args.r, args.circle)
+    ok = residual <= args.tol
+    return _emit({"residual": residual, "tol": args.tol, "pass": ok}, ok)
+
+
+def _check_subharmonic(args: argparse.Namespace) -> int:
+    axes = _grid_axes(args)
+    F, sample = _sampled(args)
+    violations = subharmonicity_report(
+        F, *axes, sample, M=args.circle, rho=args.rho, circle_nodes=args.circle_nodes
+    )
+    keys = ("r", "theta", "mean_diff", "stderr", "threshold")
+    rows = [{k: getattr(v, k) for k in keys} for v in violations]
+    return _emit({"violations": rows, "count": len(violations)}, not violations)
+
+
+def _check_harmonic_slice(args: argparse.Namespace) -> int:
+    zeta = _direction(args.zeta)
+    axes = _grid_axes(args)
+    F = load_function(args.fn_path)
+    ok = slice_harmonicity_test(
+        F, zeta, *axes, M=args.circle, tol=args.tol, rho=args.rho, circle_nodes=args.circle_nodes
+    )
+    return _emit({"harmonic": ok, "tol": args.tol}, ok)
+
+
+def _detect_harmonic(args: argparse.Namespace) -> int:
+    report = detect_harmonic_form(load_function(args.fn_path), tol=args.tol)
+    payload = {
+        "detected": report.detected,
+        "per_degree_residuals": list(report.per_degree_residuals),
+        "ray": list(report.ray) if report.ray is not None else None,
+    }
+    if report.form is not None:
+        payload["eta"] = [[e.real, e.imag] for e in report.form.eta]
+        payload["profile"] = [[c.real, c.imag] for c in report.form.profile]
+        payload["residual"] = report.form.residual
+    return _emit(payload, report.detected)
+
+
+def _product_taylor(args: argparse.Namespace) -> int:
+    tc = product_taylor_coeffs(load_canonical_product(args.product_path), args.order)
+    return _emit({**dataclasses.asdict(tc), "coeffs": [[c.real, c.imag] for c in tc.coeffs]})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -309,107 +228,91 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fn=True, sampled=False, circle=True):
+    def add_common(p, handler, fn=True, sampled=False, circle=True):
+        p.set_defaults(handler=handler)
         if fn:
             p.add_argument("--fn", dest="fn_path", required=True, help="function JSON file")
         if sampled:
-            p.add_argument("--samples", type=int)
-            p.add_argument("--seed", type=int)
+            p.add_argument("--samples", type=int, default=1000)
+            p.add_argument("--seed", type=int, default=0)
         if circle:
-            p.add_argument("--circle", type=int, help="circle quadrature size M")
+            p.add_argument("--circle", type=int, default=4096, help="circle quadrature size M")
 
     def add_grid_axes(p):
-        p.add_argument("--r-min", type=float)
-        p.add_argument("--r-max", type=float)
-        p.add_argument("--r-steps", type=int)
-        p.add_argument("--theta-min", type=float)
-        p.add_argument("--theta-max", type=float)
-        p.add_argument("--theta-steps", type=int)
+        p.add_argument("--r-min", type=float, default=0.5)
+        p.add_argument("--r-max", type=float, default=2.0)
+        p.add_argument("--r-steps", type=int, default=5)
+        p.add_argument("--theta-min", type=float, default=0.3)
+        p.add_argument("--theta-max", type=float, default=math.pi - 0.3)
+        p.add_argument("--theta-steps", type=int, default=5)
 
     p = sub.add_parser("slice-star", help="T* of one slice at r e^{i theta}")
-    add_common(p)
+    add_common(p, _slice_star)
     p.add_argument("--zeta", required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
 
     p = sub.add_parser("star", help="sphere-averaged T*")
-    add_common(p, sampled=True)
+    add_common(p, _star, sampled=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
 
     p = sub.add_parser("counting", help="sphere-averaged N(r, a)")
-    add_common(p, sampled=True, circle=False)
+    add_common(p, _counting, sampled=True, circle=False)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--a", required=True, help="target: 0 or inf")
 
     p = sub.add_parser("lelong", help="sphere-averaged n(t, a)")
-    add_common(p, sampled=True, circle=False)
+    add_common(p, _lelong, sampled=True, circle=False)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--a", required=True, help="target: 0 or inf")
 
     p = sub.add_parser("grid", help="tabulate T* on an (r, theta) rectangle")
-    add_common(p, sampled=True)
+    add_common(p, _grid, sampled=True)
     add_grid_axes(p)
     p.add_argument("--out")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"))
+    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
     check = sub.add_parser("check", help="verification suites").add_subparsers(
         dest="check_kind", required=True
     )
 
     p = check.add_parser("jensen", help="Jensen identity residual for one slice")
-    add_common(p)
+    add_common(p, _check_jensen)
     p.add_argument("--zeta", required=True)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=1e-6)
 
     p = check.add_parser("subharmonic", help="mean-value inequality on a grid")
-    add_common(p, sampled=True)
+    add_common(p, _check_subharmonic, sampled=True)
     add_grid_axes(p)
     p.add_argument("--rho", type=float)
-    p.add_argument("--circle-nodes", type=int)
+    p.add_argument("--circle-nodes", type=int, default=8)
 
     p = check.add_parser("harmonic-slice", help="mean-value equality for one slice")
-    add_common(p)
+    add_common(p, _check_harmonic_slice)
     p.add_argument("--zeta", required=True)
     add_grid_axes(p)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, default=HARMONIC_TOL)
     p.add_argument("--rho", type=float)
-    p.add_argument("--circle-nodes", type=int)
+    p.add_argument("--circle-nodes", type=int, default=8)
 
     p = sub.add_parser("detect-harmonic", help="detect F(Z) = P(Z.eta)")
-    add_common(p, circle=False)
-    p.add_argument("--tol", type=float)
+    add_common(p, _detect_harmonic, circle=False)
+    p.add_argument("--tol", type=float, default=REAL_TOL)
 
     p = sub.add_parser("product-taylor", help="Taylor data of a canonical product")
+    add_common(p, _product_taylor, fn=False, circle=False)
     p.add_argument("--product", dest="product_path", required=True)
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=int, default=8)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    if command == "check":
-        command = f"check-{args.check_kind}"
-    fields = {}
-    for name in (f.name for f in dataclasses.fields(RunConfig)):
-        if name not in ("command", "zeta", "a") and getattr(args, name, None) is not None:
-            fields[name] = getattr(args, name)
-    if getattr(args, "zeta", None) is not None:
-        fields["zeta"] = _parse_zeta(args.zeta)
-    if getattr(args, "a", None) is not None:
-        text = str(args.a).strip().lower()
-        fields["a"] = math.inf if text in ("inf", "infinity") else float(text)
-    return RunConfig(command=command, **fields)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return run(cfg)
+        return args.handler(args)
     except (ValueError, OSError, KeyError, AllDirectionsSkippedError) as exc:
         print(f"starfn: {exc}", file=sys.stderr)
         return 2

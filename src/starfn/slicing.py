@@ -449,8 +449,6 @@ def slice_divisor(F: MeroFunction, zeta: Direction) -> SliceDivisor:
     poles = [[z, m] for z, m in hset.roots]
     cancelled: list[tuple[complex, complex, int]] = []
     for zrec in zeros:
-        if zrec[1] == 0:
-            continue
         for prec in poles:
             if prec[1] == 0:
                 continue

@@ -38,7 +38,7 @@ from .slicing import (
     slice_coefficients,
     small_n_rows,
 )
-from .starcore import star_rows
+from .starcore import check_circle, star_rows
 
 __all__ = [
     "AllDirectionsSkippedError",
@@ -229,6 +229,7 @@ def star_several(
     """Mean of T*(re^{i theta}, F_zeta) over the sample's directions."""
     if r <= 0:
         raise ValueError("r must be positive")
+    check_circle([theta], M)
     ens = _build_ensemble(F, sample)
     return _estimate(star_rows(ens.g_coef, ens.h_coef, ens.h_logroots, r, [theta], M)[0], ens.kept)
 
@@ -268,6 +269,7 @@ def star_grid(
     if any(r <= 0 for r in r_values):
         raise ValueError("radii must be positive")
     _check_sorted(r_values, theta_values)
+    check_circle(theta_values, M)
     ens = _build_ensemble(F, sample)
     rows = []
     for r in r_values:
@@ -373,6 +375,7 @@ def subharmonicity_stats(
     T*(z0), estimated per-direction with common random numbers on the nodes
     of ``mean_value_differences``, evaluated radius by radius.
     """
+    check_circle((), M)
     ens = _build_ensemble(F, sample)
     diffs = mean_value_differences(
         r_values,

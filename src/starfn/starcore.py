@@ -47,6 +47,7 @@ __all__ = [
     "circle_log_samples",
     "sanitize_log_values",
     "star_rearranged",
+    "check_circle",
     "star_rows",
     "level_threshold",
     "star_thresholded",
@@ -197,6 +198,13 @@ def sanitize_log_values(vals: np.ndarray) -> tuple[np.ndarray, int]:
     vals = np.where(np.isnan(vals), 0.0, vals)
     clipped = int(np.count_nonzero((vals < LOG_FLOOR) | (vals > LOG_CEILING)))
     return np.clip(vals, LOG_FLOOR, LOG_CEILING), clipped
+
+
+def check_circle(thetas, M: int) -> None:
+    """star_rows's checks of M and theta, for callers to make before costly work."""
+    unit_nodes(M)
+    for theta in thetas:
+        split_theta(theta, M)
 
 
 def star_rows(

@@ -23,7 +23,6 @@ from starfn.harmonicform import (
     verify_harmonic_form,
 )
 from starfn.slicing import (
-    CircleProximityError,
     Direction,
     counting_big_N,
     indeterminacy_test,

@@ -157,6 +157,18 @@ def test_grid_without_out_prints_payload(tmp_path, capsys):
     assert got["sample"]["seed"] == 11
 
 
+def test_grid_with_one_step_per_axis_is_one_cell(tmp_path, capsys):
+    fn = _write_fn(tmp_path, "f.json", PRODUCT_SRC)
+    status, got = _run(
+        capsys,
+        ["grid", "--fn", fn, "--r-min", "0.7", "--r-steps", "1", "--theta-min", "0.9",
+         "--theta-steps", "1", "--samples", "50", "--circle", "64"],
+    )
+    assert status == 0
+    assert (got["r_values"], got["theta_values"]) == ([0.7], [0.9])
+    assert len(got["cells"]) == 1 and len(got["cells"][0]) == 1
+
+
 def test_export_grid_rejects_unknown_format(tmp_path):
     F = load_function(PRODUCT_SRC)
     grid = star_grid(F, (1.0, 2.0), (0.5, 1.5), sample_directions(2, 20, 0), M=64)
@@ -174,6 +186,7 @@ def test_check_jensen_exit_codes_track_tolerance(tmp_path, capsys):
     status, got = _run(capsys, base)
     assert status == 0
     assert got["pass"] is True
+    assert got["tol"] == 1e-6
     assert got["residual"] == residual
 
     status, got = _run(capsys, base + ["--tol", repr(residual / 2)])
@@ -272,6 +285,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
          "--r", "1", "--theta", "0"],
         ["counting", "--fn", fn, "--r", "1", "--a", "one"],
         ["counting", "--fn", fn, "--r", "1", "--a", "2.5", "--samples", "10"],
+        ["grid", "--fn", fn, "--r-steps", "0"],
+        ["check", "harmonic-slice", "--fn", fn, "--zeta", "1,0", "--theta-steps", "0"],
     ]
     for argv in cases:
         capsys.readouterr()

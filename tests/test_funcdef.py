@@ -1,11 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
 from starfn.funcdef import (
-    HomogeneousParts,
-    MeroFunction,
     MultiPoly,
     NormalizationError,
     ParseError,

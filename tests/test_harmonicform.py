@@ -158,6 +158,15 @@ def test_detect_rejects_zeros_on_line_but_not_ray():
     assert rep.ray is not None and rep.ray[1] > 1e-6
 
 
+def test_detect_rejects_on_the_coefficient_law_alone():
+    # degree 2 of (1 + z1)(1 + 2 z2) is 2 z1 z2, no multiple of (z1 + 2 z2)^2,
+    # while the profile (1, 1, 0) has its one zero on a ray
+    rep = detect_harmonic_form(parse_function("(1 + z1)*(1 + 2*z2)", 2))
+    assert not rep.detected
+    assert rep.per_degree_residuals == (0.0, 1.0)
+    assert rep.ray[1] == 0.0
+
+
 def test_detect_rational_form_via_pade():
     # P = (1 + u/2)/(1 - u/3), eta = (1, 2); the profile is the series of
     # P(u/P'(0)), so c2 = p2/p1^2 = (5/18)/(5/6)^2 = 0.4

@@ -3,7 +3,7 @@
 A module may use another starfn module only through its public
 (non-underscore) names, so that every shared routine has one visible home,
 and only the modules before it in LAYERS, the order the package docstring
-lists them in.
+lists them in.  Every name a package or test module imports is used.
 """
 
 import ast
@@ -13,6 +13,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "starfn"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 LAYERS = ("funcdef", "slicing", "starcore", "sphere", "harmonicform", "cli")
 
 
@@ -53,6 +54,31 @@ def _starfn_imports(path: Path) -> list[tuple[int, str]]:
     return found
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """Names that path imports but never reads and does not list in __all__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [
+        f"{path.name}:{line} imports {name} and never uses it"
+        for name, line in sorted(imported.items(), key=lambda item: item[1])
+        if name not in used
+    ]
+
+
 def test_package_has_modules():
     assert len(MODULES) >= 7
 
@@ -75,3 +101,10 @@ def test_modules_import_only_earlier_layers(layer):
         if module not in LAYERS[:rank]
     ]
     assert upward == []
+
+
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

@@ -8,7 +8,6 @@ from starfn.slicing import (
     CircleProximityError,
     CountingRecord,
     Direction,
-    RootSet,
     SlicePair,
     UniPoly,
     batched_roots,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from starfn.funcdef import MeroFunction, MultiPoly, linear_form, parse_function, parse_poly
+from starfn.funcdef import MeroFunction, MultiPoly, linear_form, parse_function
 from starfn.slicing import Direction, counting_record, indeterminacy_test, slice_divisor
 from starfn.sphere import (
     AllDirectionsSkippedError,
@@ -230,6 +230,16 @@ def test_bad_arguments_raise_before_the_ensemble_is_built():
         lelong_number(shared_root, 1.0, 5.0, sample)
     with pytest.raises(ValueError):
         star_grid(shared_root, (2.0, 1.0), (0.0, 1.0), sample, M=64)
+    with pytest.raises(ValueError):
+        star_several(shared_root, 1.0, 4.0, sample, M=64)
+    with pytest.raises(ValueError):
+        star_grid(shared_root, (1.0, 2.0), (0.5, 4.0), sample, M=64)
+    with pytest.raises(ValueError):
+        star_several(shared_root, 1.0, 1.0, sample, M=8)
+    with pytest.raises(ValueError):
+        star_grid(shared_root, (1.0, 2.0), (0.5, 1.0), sample, M=8)
+    with pytest.raises(ValueError):
+        subharmonicity_stats(shared_root, (0.5, 1.0, 1.5), (0.5, 1.0, 1.5), sample, M=8)
 
 
 def test_sphere_averages_reject_too_few_circle_nodes():
