@@ -32,7 +32,7 @@ from .harmonicform import (
     product_taylor_coeffs,
     slice_harmonicity_test,
 )
-from .slicing import Direction, jensen_residual
+from .slicing import Direction, check_positive, check_target, jensen_residual
 from .sphere import (
     AllDirectionsSkippedError,
     DirectionSample,
@@ -148,19 +148,24 @@ def _slice_star(args: argparse.Namespace) -> int:
 
 
 def _star(args: argparse.Namespace) -> int:
-    check_circle([args.theta], args.circle)  # before the sample is drawn
+    check_positive(args.r, "r")  # the checks come before the sample is drawn
+    check_circle([args.theta], args.circle)
     F, sample = _sampled(args)
     return _emit_estimate(star_several(F, args.r, args.theta, sample, M=args.circle), sample)
 
 
 def _counting(args: argparse.Namespace) -> int:
     a = float(args.a)
+    check_positive(args.r, "r")
+    check_target(a)
     F, sample = _sampled(args)
     return _emit_estimate(counting_several(F, args.r, a, sample), sample)
 
 
 def _lelong(args: argparse.Namespace) -> int:
     a = float(args.a)
+    check_positive(args.t, "t")
+    check_target(a)
     F, sample = _sampled(args)
     return _emit_estimate(lelong_number(F, args.t, a, sample), sample)
 

@@ -186,6 +186,12 @@ def log_moduli(roots: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(lm), np.inf, lm)
 
 
+def check_positive(value: float, name: str) -> None:
+    """A radius r or a scale t of the counting functions is positive."""
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+
+
 def check_target(a: float) -> None:
     """The counting functions count zeros (a = 0) or poles (a = inf)."""
     if not (a == 0 or math.isinf(a)):
@@ -469,22 +475,19 @@ def slice_divisor(F: MeroFunction, zeta: Direction) -> SliceDivisor:
 
 def counting_small_n(F: MeroFunction, zeta: Direction, t: float, a: float) -> int:
     """n(t, a; F_zeta): a-points with |z| <= t, counted with multiplicity."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    check_positive(t, "t")
     return slice_divisor(F, zeta).small_n(t, a)
 
 
 def counting_big_N(F: MeroFunction, zeta: Direction, r: float, a: float) -> float:
     """N(r, a; F_zeta) = sum of m_j log(r/|z_j|) over a-points in |z| <= r."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    check_positive(r, "r")
     return slice_divisor(F, zeta).big_N(r, a)
 
 
 def counting_record(F: MeroFunction, zeta: Direction, r: float, a: float) -> CountingRecord:
     """Bundle n(r,a) and N(r,a) computed from one root extraction."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    check_positive(r, "r")
     div = slice_divisor(F, zeta)
     return CountingRecord(r=float(r), a=float(a), small_n=div.small_n(r, a), big_N=div.big_N(r, a))
 
@@ -506,8 +509,7 @@ def unit_nodes(M: int) -> np.ndarray:
 
 def jensen_residual(F: MeroFunction, zeta: Direction, r: float, M: int) -> float:
     """|N(r,0) - N(r,inf) - circle mean of log|F|| with M midpoint nodes."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    check_positive(r, "r")
     div = slice_divisor(F, zeta)
     roots = [z for z, _ in div.zeros + div.poles]
     roots += [z for zg, zh, _ in div.cancelled for z in (zg, zh)]

@@ -32,6 +32,7 @@ from .slicing import (
     a_points,
     batched_roots,
     big_N_rows,
+    check_positive,
     check_target,
     log_moduli,
     root_separation,
@@ -227,8 +228,7 @@ def star_several(
     M: int = 4096,
 ) -> Estimate:
     """Mean of T*(re^{i theta}, F_zeta) over the sample's directions."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    check_positive(r, "r")
     check_circle([theta], M)
     ens = _build_ensemble(F, sample)
     return _estimate(star_rows(ens.g_coef, ens.h_coef, ens.h_logroots, r, [theta], M)[0], ens.kept)
@@ -236,8 +236,7 @@ def star_several(
 
 def counting_several(F: MeroFunction, r: float, a: float, sample: DirectionSample) -> Estimate:
     """Mean of N(r, a; F_zeta) over the sample's directions."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    check_positive(r, "r")
     check_target(a)
     ens = _build_ensemble(F, sample)
     return _estimate(big_N_rows(ens.logroots(a), r), ens.kept)
@@ -245,8 +244,7 @@ def counting_several(F: MeroFunction, r: float, a: float, sample: DirectionSampl
 
 def lelong_number(F: MeroFunction, t: float, a: float, sample: DirectionSample) -> Estimate:
     """Mean of n(t, a; F_zeta): the density of the a-divisor at scale t."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+    check_positive(t, "t")
     check_target(a)
     ens = _build_ensemble(F, sample)
     return _estimate(small_n_rows(ens.logroots(a), t), ens.kept)

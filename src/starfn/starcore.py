@@ -19,6 +19,25 @@ agreement is one of the package's standing cross-checks.
 rows, and ``star_rows``, the one T* kernel, runs them on the slice
 coefficients of all sampled directions or of a single one.  Circle samples
 need no roots: a common factor of g and h cancels in log|g/h| up to rounding.
+
+``star_rows`` takes its circle values from squared moduli.  With
+a_k = g_k r^k, |g(re^{ix})|^2 is the real trigonometric polynomial
+c_0 + 2 sum_l (Re c_l cos lx - Im c_l sin lx) whose coefficients are the
+autocorrelation c_l = sum_k a_{k+l} conj(a_k) (``circle_abs2``); so is |h|^2
+(a constant h divides g instead), and the samples are log(|g|^2/|h|^2),
+twice log|g/h|.  The factor 1/2 is applied once, to the bathtub values:
+halving is exact, so this equals halving every sample.
+
+The rounding error of |g|^2 so computed is about eps (sum_k |a_k|)^2 at
+every node, large against |g|^2 near a zero on the circle; so a row is
+evaluated this way only when min |g|^2 and min |h|^2 over the nodes are at
+least ``TRIG_GATE`` times their (sum_k |a_k|)^2.  Any other row (a zero or
+pole near a node, a NaN, an overflow) takes Horner's rule and
+``sanitize_log_values``, its values doubled.  The coefficients meet the
+cached basis (1, 2cos lx, -2sin lx) in ``np.einsum`` without BLAS: a BLAS
+product may round a row differently with its position in the matrix or the
+BLAS thread count, and a row's values must not depend on the batch or on
+STARFN_THREADS.
 """
 
 from __future__ import annotations
@@ -27,19 +46,20 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .funcdef import MeroFunction
 from .slicing import (
-    MIN_NODES, Direction, SlicePair, big_N_rows, circle_log_values, make_slice, slice_divisor,
-    unit_nodes,
+    MIN_NODES, Direction, SlicePair, big_N_rows, circle_log_values, make_slice, midpoint_angles,
+    slice_divisor, unit_nodes,
 )
 
 __all__ = [
     "LOG_FLOOR",
     "LOG_CEILING",
+    "TRIG_GATE",
     "CircleSamples",
     "RearrangedProfile",
     "StarValue",
@@ -48,6 +68,7 @@ __all__ = [
     "sanitize_log_values",
     "star_rearranged",
     "check_circle",
+    "circle_abs2",
     "star_rows",
     "level_threshold",
     "star_thresholded",
@@ -57,6 +78,12 @@ __all__ = [
 #: clamp bounds for log|F| samples near zeros/poles on the circle
 LOG_FLOOR = -1.0e4
 LOG_CEILING = 1.0e4
+#: star_rows evaluates a row through |g|^2 and |h|^2 only where each is at
+#: least this fraction of its rounding scale (sum_k |a_k|)^2 at every node
+TRIG_GATE = 1.0e-6
+#: ... and where that scale stays below this bound; with g(0) = h(0) = 1 the
+#: scale is at least 1, so |g|^2/|h|^2 lies within 1e-306..1e306
+TRIG_SCALE_MAX = 1.0e300
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,14 +234,56 @@ def check_circle(thetas, M: int) -> None:
         split_theta(theta, M)
 
 
+@lru_cache(maxsize=8)
+def _circle_tables(M: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For degree d at M nodes: the exponents 0..d as a column; k + l at
+    [k, l] for k, l = 0..d; and the rows 1, 2cos(lx), then -2sin(lx), for
+    l = 1..d at the M midpoint angles x.  Read-only and cached."""
+    powers = np.arange(d + 1.0)[:, None]
+    lags = np.add.outer(np.arange(d + 1), np.arange(d + 1))
+    lx = np.arange(1, d + 1)[:, None] * midpoint_angles(M)
+    basis = np.concatenate([np.ones((1, M)), 2.0 * np.cos(lx), -2.0 * np.sin(lx)])
+    for table in (powers, lags, basis):
+        table.setflags(write=False)
+    return powers, lags, basis
+
+
+def circle_abs2(coef: np.ndarray, r: float, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """|p(re^{ix})|^2 at the M midpoint angles for each row p of ascending
+    coefficients, (rows, M), or (rows, 1) for constant rows; and a mask of
+    the rows with min |p|^2 >= TRIG_GATE * (sum_k |p_k| r^k)^2 and that
+    scale below TRIG_SCALE_MAX (False for a NaN).
+
+    Every step is row-wise and in a fixed order, so a row's bits do not
+    depend on the other rows.
+    """
+    d = coef.shape[1] - 1
+    if not d:  # |p_0|^2 at every node, exact up to rounding: only its size is tested
+        values = np.abs(coef) ** 2
+        return values, values[:, 0] < TRIG_SCALE_MAX
+    # a_k = p_k r^k as column k of a zero-padded (2d+1, rows) array, so that
+    # each sum below adds whole rows in order of k
+    powers, lags, basis = _circle_tables(M, d)
+    padded = np.zeros((2 * d + 1, coef.shape[0]), dtype=complex)
+    a = padded[: d + 1]
+    np.multiply(coef.T, r**powers, out=a)
+    scale = np.add.reduce(np.abs(a), axis=0) ** 2
+    c = np.add.reduce(padded.take(lags, axis=0) * a.conj()[:, None, :], axis=0)  # (d+1, rows)
+    trig = np.concatenate([c.real, c.imag[1:]])
+    values = np.einsum("kr,km->rm", trig, basis, optimize=False)
+    ok = (np.minimum.reduce(values, axis=1) >= TRIG_GATE * scale) & (scale < TRIG_SCALE_MAX)
+    return values, ok
+
+
 def star_rows(
     g_coef: np.ndarray, h_coef: np.ndarray, pole_logroots: np.ndarray, r: float, thetas, M: int
 ) -> np.ndarray:
     """T* = F* + N(r, inf) at each theta for the slices g_coef/h_coef with
     poles at log-moduli pole_logroots, one per row: array (len(thetas), rows).
     Rows run in blocks on STARFN_THREADS threads; a row's arithmetic does
-    not depend on its block, so neither does the result."""
-    w = r * unit_nodes(M)
+    not depend on its block, so neither does the result.  The circle values
+    are log(|g|^2/|h|^2) (see the module docstring), halved after the bathtub."""
+    nodes = unit_nodes(M)
     rows = g_coef.shape[0]
     out = np.empty((len(thetas), rows))
     chunk = 256  # rows per block: temporaries stay in cache; work() is row-wise
@@ -222,19 +291,40 @@ def star_rows(
 
     def work(span: tuple[int, int]) -> None:
         lo, hi = span
-        vals, _ = sanitize_log_values(circle_log_values(g_coef[lo:hi], h_coef[lo:hi], w))
+        g, h, n = g_coef[lo:hi], h_coef[lo:hi], hi - lo
+        # few calls, since a call on one row costs mostly call overhead
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if h.shape[1] == 1:  # a constant h: |g/h|^2 is one polynomial
+                p, ok = circle_abs2(g / h, r, M)
+                q = 1.0
+            elif g.shape[1] == h.shape[1]:
+                pq, pq_ok = circle_abs2(np.concatenate([g, h]), r, M)
+                p, q, ok = pq[:n], pq[n:], pq_ok[:n] & pq_ok[n:]
+            else:
+                p, p_ok = circle_abs2(g, r, M)
+                q, q_ok = circle_abs2(h, r, M)
+                ok = p_ok & q_ok
+            vals = np.divide(p, q, out=np.empty((n, M)))
+            np.log(vals, out=vals)
+        if not ok.all():
+            bad = ~ok
+            fallback, _ = sanitize_log_values(circle_log_values(g[bad], h[bad], r * nodes))
+            vals[bad] = 2.0 * fallback
         out[:, lo:hi] = bathtub(*rearrange(vals), thetas)
 
-    try:
-        threads = int(os.environ.get("STARFN_THREADS", "1"))
-    except ValueError:
-        threads = 1
-    if threads > 1 and len(spans) > 1:
+    threads = 1
+    if len(spans) > 1:
+        try:
+            threads = int(os.environ.get("STARFN_THREADS", "1"))
+        except ValueError:
+            pass
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, spans))
     else:
         for span in spans:
             work(span)
+    out *= 0.5
     out += big_N_rows(pole_logroots, r)
     return out
 

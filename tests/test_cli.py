@@ -294,6 +294,24 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("starfn: ")
 
 
+def test_bad_values_are_rejected_before_sampling(tmp_path, capsys, monkeypatch):
+    fn = _write_fn(tmp_path, "f.json", RATIONAL_SRC)
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sample drawn before the arguments were checked")
+
+    monkeypatch.setattr("starfn.cli.sample_directions", no_sampling)
+    cases = [
+        (["star", "--fn", fn, "--r", "0", "--theta", "1"], "r must be positive"),
+        (["counting", "--fn", fn, "--r", "1", "--a", "2"], "target a must be 0 or inf"),
+        (["lelong", "--fn", fn, "--t", "0", "--a", "0"], "t must be positive"),
+    ]
+    for argv, message in cases:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"starfn: {message}\n"
+
+
 def test_zeta_near_indeterminacy_is_reported(tmp_path, capsys):
     fn = _write_fn(tmp_path, "f.json", {"n": 2, "numerator": "1 - z1", "denominator": "1 - z1"})
     status = main(["star", "--fn", fn, "--r", "1", "--theta", "1", "--samples", "20"])

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from starfn.funcdef import MeroFunction, MultiPoly, parse_function
-from starfn.slicing import Direction, counting_big_N, slice_divisor
+from starfn.slicing import (
+    Direction,
+    batched_roots,
+    big_N_rows,
+    circle_log_values,
+    counting_big_N,
+    log_moduli,
+    midpoint_angles,
+    slice_coefficients,
+    slice_divisor,
+    unit_nodes,
+)
 from starfn.sphere import sample_directions
 from starfn.starcore import (
     LOG_CEILING,
@@ -12,10 +23,15 @@ from starfn.starcore import (
     CircleSamples,
     RearrangedProfile,
     StarValue,
+    bathtub,
+    circle_abs2,
     circle_log_samples,
     level_threshold,
+    rearrange,
+    sanitize_log_values,
     slice_star_total,
     star_rearranged,
+    star_rows,
     star_thresholded,
 )
 
@@ -262,3 +278,105 @@ def test_samples_validation():
         CircleSamples(r=1.0, direction=Direction((1.0,)), M=16, values=np.zeros(15), clipped=0)
     with pytest.raises(ValueError):
         star_rearranged(make_samples(np.zeros(16)), -0.1)
+
+
+# ---------------------------------------------------------------------------
+# the T* kernel star_rows: circle values from |g|^2 and |h|^2, Horner's rule
+# for the rows the gate sends back
+
+RATIONAL = parse_function(
+    "(1 + (0.3-1.1*i)*z1^2*z2 - 0.7*z1*z2 + 2*z2^3) / (1 + (1.2+0.4*i)*z1 - 0.5*z1^2*z2^2)", 2
+)
+EQUAL_DEGREES = parse_function("(1 + (0.4+0.9*i)*z1*z2 - 1.3*z2^2) / (1 - 0.8*z1 + (0.2-0.6*i)*z1^2)", 2)
+POLYNOMIAL = parse_function("1 + z1 + 2*z2 + 0.25*z1^2 + z1*z2 + z2^2", 2)
+
+
+def _slice_rows(F, dirs):
+    g = slice_coefficients(F.numerator, dirs)
+    h = slice_coefficients(F.denominator, dirs)
+    return g, h, log_moduli(batched_roots(h))
+
+
+def _horner_star_rows(g, h, poles, r, thetas, M):
+    """The reference T* kernel: every circle value by Horner's rule."""
+    vals, _ = sanitize_log_values(circle_log_values(g, h, r * unit_nodes(M)))
+    return bathtub(*rearrange(vals), thetas) + big_N_rows(poles, r)
+
+
+def _zero_near_node(F, zeta, M, gap=1e-7):
+    """zeta turned by a phase, and a radius r, that put a zero of the slice
+    at r(1 + gap) in line with the first of the M nodes."""
+    z0 = slice_divisor(F, zeta).zeros[0][0]
+    phase = np.exp(1j * (np.angle(z0) - midpoint_angles(M)[0]))
+    return Direction(tuple(c * phase for c in zeta.components)), abs(z0) / (1 + gap)
+
+
+def _trig_rows_ok(g, h, r, M):
+    return bool(circle_abs2(g, r, M)[1][0] and circle_abs2(h, r, M)[1][0])
+
+
+def test_a_row_of_star_rows_does_not_depend_on_its_batch_or_threads(monkeypatch):
+    # 300 rows span two 256-row blocks; row 280 has a zero 1e-7 outside the
+    # circle next to a node, so the gate sends it to Horner's rule
+    M, thetas = 512, [0.4, math.pi / 2, 2.9]
+    dirs = sample_directions(2, 300, seed=5).directions.copy()
+    turned, r = _zero_near_node(RATIONAL, Direction(tuple(dirs[280])), M)
+    dirs[280] = turned.components
+    # numerator and denominator of unequal degrees, of equal degrees, and
+    # a constant denominator
+    batches = [_slice_rows(F, dirs) for F in (RATIONAL, EQUAL_DEGREES, POLYNOMIAL)]
+    assert [(g.shape[1], h.shape[1]) for g, h, _ in batches] == [(4, 5), (3, 3), (3, 1)]
+    g, h, _ = batches[0]
+    assert _trig_rows_ok(g[7:8], h[7:8], r, M)
+    assert not _trig_rows_ok(g[280:281], h[280:281], r, M)
+    results = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("STARFN_THREADS", threads)
+        results[threads] = [star_rows(g, h, poles, r, thetas, M) for g, h, poles in batches]
+    for serial, threaded in zip(results["1"], results["2"]):
+        assert np.array_equal(serial, threaded)
+    for (g, h, poles), batch, rows in zip(batches, results["1"], [(7, 280), (150,), (270,)]):
+        for i in rows:
+            one = star_rows(g[i : i + 1], h[i : i + 1], poles[i : i + 1], r, thetas, M)
+            assert np.array_equal(one[:, 0], batch[:, i])
+
+
+@pytest.mark.parametrize("F", [RATIONAL, EQUAL_DEGREES], ids=["unequal", "equal"])
+def test_star_rows_agrees_with_the_horner_path(F):
+    # every fourth direction is turned to put a zero of its slice 1e-7
+    # outside the circle, next to a node: those rows take Horner's rule and
+    # must give its bits; the others agree to rounding
+    M, thetas = 1024, [0.3, math.pi / 2, 2.8]
+    for i, row in enumerate(sample_directions(2, 64, seed=8).directions):
+        zeta, r = Direction(tuple(row)), 1.3
+        if i % 4 == 0:
+            zeta, r = _zero_near_node(F, zeta, M)
+        div = slice_divisor(F, zeta)
+        g, h = div.pair.g.row, div.pair.h.row
+        exact = not _trig_rows_ok(g, h, r, M)
+        assert exact or i % 4
+        got = star_rows(g, h, div.logroots(math.inf), r, thetas, M)[:, 0]
+        for theta, value in zip(thetas, got):
+            want = slice_star_total(F, zeta, r, theta, M).total
+            if exact:
+                assert value == want
+            else:
+                assert abs(value - want) <= 1e-12 * (1 + abs(want))
+
+
+def test_star_rows_clamps_an_exact_zero_and_zeroes_a_common_one():
+    # (w - z) vanishes exactly at the node w; over h = 1 + 0.3z the node
+    # gives log 0 = -inf, clamped to LOG_FLOOR, and over h = w - z it gives
+    # the NaN of a common factor, set to 0: the Horner values, bit for bit
+    M, r, thetas = 256, 1.0, [0.2, math.pi / 2, math.pi]
+    w = unit_nodes(M)[5]
+    g = np.array([[w, -1.0]])
+    for h, bad in ((np.array([[1.0, 0.3]]), np.isneginf), (g, np.isnan)):
+        raw = circle_log_values(g, h, r * unit_nodes(M))
+        assert np.count_nonzero(bad(raw)) == 1
+        assert not _trig_rows_ok(g, h, r, M)
+        poles = log_moduli(batched_roots(h))
+        got = star_rows(g, h, poles, r, thetas, M)
+        assert np.array_equal(got, _horner_star_rows(g, h, poles, r, thetas, M))
+    floor = star_rows(g, np.array([[1.0, 0.3]]), np.full((1, 1), np.inf), r, [math.pi], M)
+    assert abs(floor[0, 0] - LOG_FLOOR / M) < 1.0  # the mean of the samples holds LOG_FLOOR / M
