@@ -8,8 +8,8 @@ single direction and a whole sample alike (a single slice is a batch of one):
 - ``slicing``: restriction to complex lines as batched primitives
   (substitution, roots, circle evaluation, the indeterminacy rule, counting
   functions), slice divisors and the Jensen-identity residual.
-- ``starcore``: the circular rearrangement T* (sort, prefix sums, bathtub
-  lookup), the one T* kernel ``star_rows`` over rows of slice coefficients,
+- ``starcore``: the circular rearrangement T* (sort, one top-k sum per
+  theta), the one T* kernel ``star_rows`` over rows of slice coefficients,
   and the single-slice star, sampled from the slice coefficients.
 - ``sphere``: Monte Carlo averages of T* and the counting data over the
   sphere of directions, and the mean-value stencil of the subharmonicity

@@ -38,6 +38,8 @@ from .sphere import (
     DirectionSample,
     Estimate,
     StarGrid,
+    check_grid,
+    check_stencil,
     counting_several,
     lelong_number,
     sample_directions,
@@ -172,6 +174,7 @@ def _lelong(args: argparse.Namespace) -> int:
 
 def _grid(args: argparse.Namespace) -> int:
     axes = _grid_axes(args)
+    check_grid(*axes, args.circle)
     F, sample = _sampled(args)
     grid = star_grid(F, *axes, sample, M=args.circle)
     if args.out:
@@ -189,6 +192,8 @@ def _check_jensen(args: argparse.Namespace) -> int:
 
 def _check_subharmonic(args: argparse.Namespace) -> int:
     axes = _grid_axes(args)
+    check_stencil(*axes, args.rho, args.circle_nodes)
+    check_circle((), args.circle)
     F, sample = _sampled(args)
     violations = subharmonicity_report(
         F, *axes, sample, M=args.circle, rho=args.rho, circle_nodes=args.circle_nodes

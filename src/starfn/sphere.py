@@ -250,6 +250,14 @@ def lelong_number(F: MeroFunction, t: float, a: float, sample: DirectionSample) 
     return _estimate(small_n_rows(ens.logroots(a), t), ens.kept)
 
 
+def check_grid(r_values: Sequence[float], theta_values: Sequence[float], M: int) -> None:
+    """star_grid's checks of the axes and M, for callers to make before costly work."""
+    if any(r <= 0 for r in r_values):
+        raise ValueError("radii must be positive")
+    _check_sorted(r_values, theta_values)
+    check_circle(theta_values, M)
+
+
 def star_grid(
     F: MeroFunction,
     r_values: Sequence[float],
@@ -264,10 +272,7 @@ def star_grid(
     """
     r_values = tuple(float(r) for r in r_values)
     theta_values = tuple(float(t) for t in theta_values)
-    if any(r <= 0 for r in r_values):
-        raise ValueError("radii must be positive")
-    _check_sorted(r_values, theta_values)
-    check_circle(theta_values, M)
+    check_grid(r_values, theta_values, M)
     ens = _build_ensemble(F, sample)
     rows = []
     for r in r_values:
@@ -288,15 +293,31 @@ def star_grid(
 
 def default_rho(r_values: Sequence[float], theta_values: Sequence[float]) -> float:
     """Half the minimum Euclidean spacing between adjacent grid points."""
-    dr = np.diff(r_values)
     dth = np.diff(theta_values)
-    spacings = list(dr)
-    if dth.size:
-        r_min = min(r_values)
-        spacings.extend(2.0 * r_min * np.sin(dth / 2.0))
-    if not spacings:
-        raise ValueError("grid needs at least two points per axis")
-    return 0.5 * float(min(spacings))
+    spacings = np.concatenate([np.diff(r_values), 2.0 * min(r_values) * np.sin(dth / 2.0)])
+    return 0.5 * float(spacings.min())
+
+
+def check_stencil(
+    r_values: Sequence[float], theta_values: Sequence[float], rho: float | None, circle_nodes: int
+) -> float:
+    """mean_value_differences's checks, for callers to make before costly
+    work: the grid, the circle nodes and the test disks.  Returns rho."""
+    if any(r <= 0 for r in r_values):
+        raise ValueError("radii must be positive")
+    if len(r_values) < 3 or len(theta_values) < 3:
+        raise ValueError("need at least a 3x3 grid for interior points")
+    if circle_nodes < 4:
+        raise ValueError("need at least 4 circle nodes")
+    if rho is None:
+        rho = default_rho(r_values, theta_values)
+    if rho <= 0:
+        raise ValueError("rho must be positive")
+    for r in r_values[1:-1]:
+        for th in theta_values[1:-1]:
+            if r * math.sin(th) <= rho:
+                raise ValueError(f"test disk at (r={r}, theta={th}) leaves the upper half-plane")
+    return rho
 
 
 def mean_value_differences(
@@ -317,21 +338,8 @@ def mean_value_differences(
     """
     r_values = [float(r) for r in r_values]
     theta_values = [float(t) for t in theta_values]
-    if len(r_values) < 3 or len(theta_values) < 3:
-        raise ValueError("need at least a 3x3 grid for interior points")
-    if circle_nodes < 4:
-        raise ValueError("need at least 4 circle nodes")
-    if rho is None:
-        rho = default_rho(r_values, theta_values)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    rho = check_stencil(r_values, theta_values, rho, circle_nodes)
     interior_r, interior_t = r_values[1:-1], theta_values[1:-1]
-    for r in interior_r:
-        for th in interior_t:
-            if r * math.sin(th) <= rho:
-                raise ValueError(
-                    f"test disk at (r={r}, theta={th}) leaves the upper half-plane"
-                )
     psi = 2.0 * math.pi * np.arange(circle_nodes) / circle_nodes
     rings: dict[float, list[tuple[float, int, int]]] = {}
     for ii, r in enumerate(interior_r):
@@ -374,6 +382,7 @@ def subharmonicity_stats(
     of ``mean_value_differences``, evaluated radius by radius.
     """
     check_circle((), M)
+    rho = check_stencil(r_values, theta_values, rho, circle_nodes)
     ens = _build_ensemble(F, sample)
     diffs = mean_value_differences(
         r_values,

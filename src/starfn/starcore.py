@@ -15,10 +15,11 @@ at the quantile t where the superlevel set has measure 2*theta.  Both forms
 are computed here from the same samples and must agree to ~1e-10; their
 agreement is one of the package's standing cross-checks.
 
-``rearrange`` (sort and prefix sums) and ``bathtub`` (the lookup) work on
-rows, and ``star_rows``, the one T* kernel, runs them on the slice
-coefficients of all sampled directions or of a single one.  Circle samples
-need no roots: a common factor of g and h cancels in log|g/h| up to rounding.
+``_top_means`` takes the bathtub value of sorted rows, one top-k sum per
+rank k, and ``star_rows``, the one T* kernel, runs it on the slice
+coefficients of all sampled directions or of a single one, in blocks of
+``BLOCK_CELLS`` samples.  Circle samples need no roots: a common factor of
+g and h cancels in log|g/h| up to rounding.
 
 ``star_rows`` takes its circle values from squared moduli.  With
 a_k = g_k r^k, |g(re^{ix})|^2 is the real trigonometric polynomial
@@ -87,6 +88,8 @@ TRIG_GATE = 1.0e-6
 #: ... and where that scale stays below this bound; with g(0) = h(0) = 1 the
 #: scale is at least 1, so |g|^2/|h|^2 lies within 1e-306..1e306
 TRIG_SCALE_MAX = 1.0e300
+#: star_rows's block size in samples (rows times M): 256 rows at M = 192
+BLOCK_CELLS = 256 * 192
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,40 +121,26 @@ class CircleSamples:
 
     @cached_property
     def profile(self) -> "RearrangedProfile":
-        return RearrangedProfile.from_samples(self)
+        return RearrangedProfile(np.sort(self.values)[::-1])
 
 
 @dataclass(frozen=True, eq=False)
 class RearrangedProfile:
-    """Nonincreasing rearrangement of circle samples with prefix sums.
-
-    prefix_sums[j] is the sum of the j largest samples (length M+1, leading
-    zero), so theta-sections of the star are O(1) lookups.
-    """
+    """Nonincreasing rearrangement of circle samples: from samples, a
+    reversed view of their ascending sort, whose top ``fstar`` reduces."""
 
     sorted_values: np.ndarray
-    prefix_sums: np.ndarray
 
     def __post_init__(self):
         sv = np.asarray(self.sorted_values, dtype=float)
-        ps = np.asarray(self.prefix_sums, dtype=float)
         if np.any(np.diff(sv) > 0):
             raise ValueError("sorted_values must be nonincreasing")
-        if ps.shape != (sv.size + 1,) or ps[0] != 0:
-            raise ValueError("prefix_sums must be cumulative with leading 0")
         sv.setflags(write=False)
-        ps.setflags(write=False)
         object.__setattr__(self, "sorted_values", sv)
-        object.__setattr__(self, "prefix_sums", ps)
-
-    @classmethod
-    def from_samples(cls, samples: CircleSamples) -> "RearrangedProfile":
-        sv, ps = rearrange(samples.values.copy())
-        return cls(sorted_values=sv, prefix_sums=ps)
 
     def fstar(self, theta: float) -> float:
         """Bathtub value: mean of the 2*theta-measure worth of top samples."""
-        return float(bathtub(self.sorted_values, self.prefix_sums, [theta])[0])
+        return float(_top_means(self.sorted_values[::-1], [theta])[0])
 
 
 class LevelValue(float):
@@ -193,26 +182,20 @@ def split_theta(theta: float, M: int) -> tuple[int, float]:
     return k, s - k
 
 
-def rearrange(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonincreasing rows of vals (a reversed view of vals, sorted in place)
-    and their prefix sums with a leading 0."""
-    vals.sort(axis=-1)
-    desc = vals[..., ::-1]
-    prefix = np.zeros(vals.shape[:-1] + (vals.shape[-1] + 1,))
-    np.cumsum(desc, axis=-1, out=prefix[..., 1:])
-    return desc, prefix
-
-
-def bathtub(desc: np.ndarray, prefix: np.ndarray, thetas) -> np.ndarray:
-    """Mean of the top 2*theta measure of each row of ``rearrange`` output,
-    at each theta: shape (len(thetas),) + desc.shape[:-1]."""
-    M = desc.shape[-1]
-    out = np.empty((len(thetas),) + desc.shape[:-1])
+def _top_means(asc: np.ndarray, thetas) -> np.ndarray:
+    """Mean of the top 2*theta measure of each ascending row of asc, at each
+    theta: shape (len(thetas),) + asc.shape[:-1].  A theta of rank k adds one
+    sum of the top k entries, which depends on the row and k alone."""
+    M = asc.shape[-1]
+    out = np.empty((len(thetas),) + asc.shape[:-1])
+    tops: dict[int, np.ndarray] = {}
     for i, theta in enumerate(thetas):
         k, frac = split_theta(float(theta), M)
-        v = prefix[..., k]
+        if k not in tops:
+            tops[k] = np.add.reduce(asc[..., M - k :], axis=-1)
+        v = tops[k]
         if frac:
-            v = v + frac * desc[..., k]
+            v = v + frac * asc[..., M - 1 - k]
         out[i] = v / M
     return out
 
@@ -283,13 +266,13 @@ def star_rows(
 ) -> np.ndarray:
     """T* = F* + N(r, inf) at each theta for the slices g_coef/h_coef with
     poles at log-moduli pole_logroots, one per row: array (len(thetas), rows).
-    Rows run in blocks on STARFN_THREADS threads; a row's arithmetic does
-    not depend on its block, so neither does the result.  The circle values
-    are log(|g|^2/|h|^2) (see the module docstring), halved after the bathtub."""
+    Rows run in blocks of BLOCK_CELLS samples on STARFN_THREADS threads; a
+    row's arithmetic does not depend on its block, so neither does the result.
+    The values log(|g|^2/|h|^2) (module docstring) are halved after the bathtub."""
     nodes = unit_nodes(M)
     rows = g_coef.shape[0]
     out = np.empty((len(thetas), rows))
-    chunk = 256  # rows per block: temporaries stay in cache; work() is row-wise
+    chunk = max(1, BLOCK_CELLS // M)
     spans = [(lo, min(lo + chunk, rows)) for lo in range(0, rows, chunk)]
 
     def work(span: tuple[int, int]) -> None:
@@ -305,7 +288,8 @@ def star_rows(
             bad = ~ok
             fallback, _ = sanitize_log_values(circle_log_values(g[bad], h[bad], r * nodes))
             vals[bad] = 2.0 * fallback
-        out[:, lo:hi] = bathtub(*rearrange(vals), thetas)
+        vals.sort(axis=-1)
+        out[:, lo:hi] = _top_means(vals, thetas)
 
     threads = 1
     if len(spans) > 1:

@@ -305,6 +305,12 @@ def test_bad_values_are_rejected_before_sampling(tmp_path, capsys, monkeypatch):
         (["star", "--fn", fn, "--r", "0", "--theta", "1"], "r must be positive"),
         (["counting", "--fn", fn, "--r", "1", "--a", "2"], "target a must be 0 or inf"),
         (["lelong", "--fn", fn, "--t", "0", "--a", "0"], "t must be positive"),
+        (["grid", "--fn", fn, "--r-min", "0"], "radii must be positive"),
+        (["grid", "--fn", fn, "--circle", "8"], "M must be at least 16, got 8"),
+        (["check", "subharmonic", "--fn", fn, "--r-min", "-1"], "radii must be positive"),
+        (["check", "subharmonic", "--fn", fn, "--r-steps", "2"],
+         "need at least a 3x3 grid for interior points"),
+        (["check", "subharmonic", "--fn", fn, "--circle", "8"], "M must be at least 16, got 8"),
     ]
     for argv, message in cases:
         capsys.readouterr()

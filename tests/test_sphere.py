@@ -428,6 +428,24 @@ def test_subharmonicity_input_validation():
         subharmonicity_stats(RATIO, GRID_R, GRID_TH, sample, M=64, circle_nodes=2)
 
 
+def test_subharmonicity_checks_the_grid_before_the_ensemble_is_built(monkeypatch):
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("ensemble built before the grid was checked")
+
+    monkeypatch.setattr("starfn.sphere._build_ensemble", no_ensemble)
+    sample = sample_directions(2, 8, seed=2)
+    cases = [
+        ((1.0, 2.0), (0.5, 1.0), {}, "3x3"),
+        ((-1.0, 0.5, 2.0), GRID_TH, {}, "radii must be positive"),
+        (GRID_R, GRID_TH, {"rho": -0.1}, "rho must be positive"),
+        ((0.5, 1.0, 1.5), (0.01, 0.05, 0.1), {"rho": 0.2}, "upper half-plane"),
+    ]
+    for r_values, theta_values, kwargs, message in cases:
+        for check in (subharmonicity_stats, subharmonicity_report):
+            with pytest.raises(ValueError, match=message):
+                check(RATIO, r_values, theta_values, sample, M=64, **kwargs)
+
+
 def test_thread_env_does_not_change_results(monkeypatch):
     sample = sample_directions(2, 3000, seed=123)
     radii = (1.0, 2.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,15 +20,15 @@ from starfn.slicing import (
 from starfn.sphere import sample_directions
 from starfn.starcore import (
     _circle_abs2,
+    _top_means,
+    BLOCK_CELLS,
     LOG_CEILING,
     LOG_FLOOR,
     CircleSamples,
     RearrangedProfile,
     StarValue,
-    bathtub,
     circle_log_samples,
     level_threshold,
-    rearrange,
     sanitize_log_values,
     slice_star_total,
     star_rearranged,
@@ -266,9 +267,10 @@ def test_profile_invariants():
     s = make_samples(np.sin(np.linspace(0, 7, 128)))
     prof = s.profile
     assert np.all(np.diff(prof.sorted_values) <= 0)
-    assert np.allclose(np.diff(prof.prefix_sums), prof.sorted_values, atol=1e-12)
+    for k in (0, 1, 37, 128):
+        assert abs(prof.fstar(k * math.pi / 128) - prof.sorted_values[:k].sum() / 128) <= 1e-12
     with pytest.raises(ValueError):
-        RearrangedProfile(np.array([0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
+        RearrangedProfile(np.array([0.0, 1.0]))
 
 
 def test_samples_validation():
@@ -300,7 +302,7 @@ def _slice_rows(F, dirs):
 def _horner_star_rows(g, h, poles, r, thetas, M):
     """The reference T* kernel: every circle value by Horner's rule."""
     vals, _ = sanitize_log_values(circle_log_values(g, h, r * unit_nodes(M)))
-    return bathtub(*rearrange(vals), thetas) + big_N_rows(poles, r)
+    return _top_means(np.sort(vals), thetas) + big_N_rows(poles, r)
 
 
 def _zero_near_node(F, zeta, M, gap=1e-7):
@@ -316,29 +318,33 @@ def _trig_rows_ok(g, h, r, M):
 
 
 def test_a_row_of_star_rows_does_not_depend_on_its_batch_or_threads(monkeypatch):
-    # 300 rows span two 256-row blocks; row 280 has a zero 1e-7 outside the
-    # circle next to a node, so the gate sends it to Horner's rule
-    M, thetas = 512, [0.4, math.pi / 2, 2.9]
-    dirs = sample_directions(2, 300, seed=5).directions.copy()
-    turned, r = _zero_near_node(RATIONAL, Direction(tuple(dirs[280])), M)
-    dirs[280] = turned.components
-    # numerator and denominator of unequal degrees, of equal degrees, and
-    # a constant denominator
-    batches = [_slice_rows(F, dirs) for F in (RATIONAL, EQUAL_DEGREES, POLYNOMIAL)]
-    assert [(g.shape[1], h.shape[1]) for g, h, _ in batches] == [(4, 5), (3, 3), (3, 1)]
-    g, h, _ = batches[0]
-    assert _trig_rows_ok(g[7:8], h[7:8], r, M)
-    assert not _trig_rows_ok(g[280:281], h[280:281], r, M)
-    results = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("STARFN_THREADS", threads)
-        results[threads] = [star_rows(g, h, poles, r, thetas, M) for g, h, poles in batches]
-    for serial, threaded in zip(results["1"], results["2"]):
-        assert np.array_equal(serial, threaded)
-    for (g, h, poles), batch, rows in zip(batches, results["1"], [(7, 280), (150,), (270,)]):
-        for i in rows:
-            one = star_rows(g[i : i + 1], h[i : i + 1], poles[i : i + 1], r, thetas, M)
-            assert np.array_equal(one[:, 0], batch[:, i])
+    # 300 rows span several blocks (96 rows at M=512, 12 at M=4096), and row
+    # 287 ends one at both; it has a zero 1e-7 outside the circle next to a
+    # node, so the gate sends it to Horner's rule
+    thetas = [0.4, math.pi / 2, 2.9]
+    for M in (512, 4096):
+        assert 288 % (BLOCK_CELLS // M) == 0
+        dirs = sample_directions(2, 300, seed=5).directions.copy()
+        turned, r = _zero_near_node(RATIONAL, Direction(tuple(dirs[287])), M)
+        dirs[287] = turned.components
+        # numerator and denominator of unequal degrees, of equal degrees, and
+        # a constant denominator
+        batches = [_slice_rows(F, dirs) for F in (RATIONAL, EQUAL_DEGREES, POLYNOMIAL)]
+        assert [(g.shape[1], h.shape[1]) for g, h, _ in batches] == [(4, 5), (3, 3), (3, 1)]
+        g, h, _ = batches[0]
+        assert _trig_rows_ok(g[7:8], h[7:8], r, M)
+        assert not _trig_rows_ok(g[287:288], h[287:288], r, M)
+        results = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("STARFN_THREADS", threads)
+            results[threads] = [star_rows(g, h, poles, r, thetas, M) for g, h, poles in batches]
+        for serial, threaded in zip(results["1"], results["2"]):
+            assert np.array_equal(serial, threaded)
+        rows = [(7, 287, 288), (150,), (270,)]
+        for (g, h, poles), batch, picked in zip(batches, results["1"], rows):
+            for i in picked:
+                one = star_rows(g[i : i + 1], h[i : i + 1], poles[i : i + 1], r, thetas, M)
+                assert np.array_equal(one[:, 0], batch[:, i])
 
 
 @pytest.mark.parametrize("F", [RATIONAL, EQUAL_DEGREES], ids=["unequal", "equal"])
@@ -382,3 +388,18 @@ def test_star_rows_clamps_an_exact_zero_and_zeroes_a_common_one():
         assert np.array_equal(got, _horner_star_rows(g, h, poles, r, thetas, M))
     floor = star_rows(g, np.array([[1.0, 0.3]]), np.full((1, 1), np.inf), r, [math.pi], M)
     assert abs(floor[0, 0] - LOG_FLOOR / M) < 1.0  # the mean of the samples holds LOG_FLOOR / M
+
+
+def test_star_rows_memory_does_not_grow_with_the_block_at_large_M():
+    # a block holds about BLOCK_CELLS samples, 6 rows at M=8192, so the
+    # temporaries of 2000 rows stay far below one 256-row block (17 MB)
+    M, thetas = 8192, [0.4, math.pi / 2, 2.9]
+    g, h, poles = _slice_rows(RATIONAL, sample_directions(2, 2000, seed=6).directions)
+    star_rows(g[:1], h[:1], poles[:1], 1.3, thetas, M)  # fill the per-M caches
+    tracemalloc.start()
+    try:
+        star_rows(g, h, poles, 1.3, thetas, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
