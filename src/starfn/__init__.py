@@ -57,6 +57,7 @@ from .sphere import (
     AllDirectionsSkippedError,
     DirectionSample,
     Estimate,
+    SliceBatch,
     StarGrid,
     Violation,
     counting_several,
@@ -92,6 +93,7 @@ __all__ = [
     "MultiPoly",
     "ParseError",
     "RootFindingError",
+    "SliceBatch",
     "SliceDivisor",
     "StarGrid",
     "StarValue",

@@ -12,15 +12,19 @@ measure zero, so skips are rare and the estimate is unbiased in the limit.
 
 Everything slice-related is evaluated for all directions at once, with the
 batched primitives of ``slicing`` and the T* kernel ``starcore.star_rows``
-that the single-slice API runs on a batch of one.  Estimates use numpy's
-pairwise summation, so results are bit-identical for a fixed seed regardless
-of the STARFN_THREADS chunking.
+that the single-slice API runs on a batch of one.  The slices of F along a
+sample are one ``SliceBatch``, which ``DirectionSample.slices(F)`` builds:
+T*, the counting functions and the Lelong numbers all come from it.  The
+sample keeps the batch of the last F it served, so calls that share
+(F, sample) find the roots once, with unchanged results.  Estimates use
+numpy's pairwise summation, so results are bit-identical for a fixed seed
+regardless of the STARFN_THREADS chunking.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +51,7 @@ __all__ = [
     "Estimate",
     "StarGrid",
     "PointStat",
+    "SliceBatch",
     "Violation",
     "sample_directions",
     "star_several",
@@ -63,17 +68,54 @@ class AllDirectionsSkippedError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
+class SliceBatch:
+    """The slices F_zeta of a sample's kept (non-indeterminate) directions.
+
+    One row per kept direction: ascending coefficients of g and h, and the
+    log-moduli of their roots (+inf padding).  The arrays are read-only.
+    """
+
+    total: int
+    g_coef: np.ndarray  # (kept, deg_g+1) complex
+    h_coef: np.ndarray
+    g_logroots: np.ndarray  # (kept, deg_g) float
+    h_logroots: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.g_coef, self.h_coef, self.g_logroots, self.h_logroots):
+            array.setflags(write=False)
+
+    @property
+    def kept(self) -> int:
+        return self.g_coef.shape[0]
+
+    @property
+    def skipped(self) -> int:
+        return self.total - self.kept
+
+    def logroots(self, a: float) -> np.ndarray:
+        """log|z| of the a-points (zeros for a = 0, poles for a = inf)."""
+        return a_points(a, self.g_logroots, self.h_logroots)
+
+    def star_totals(self, r: float, thetas, M: int) -> np.ndarray:
+        """T*(r e^{i theta}) of every kept slice: array (len(thetas), kept)."""
+        return star_rows(self.g_coef, self.h_coef, self.h_logroots, r, thetas, M)
+
+
+@dataclass(frozen=True, eq=False)
 class DirectionSample:
     """Reproducible i.i.d. uniform directions on the unit sphere of C^n.
 
     ``directions`` is a read-only (count, n) complex array, one direction
-    per row.
+    per row.  ``slices(F)`` builds the slice batch of F and keeps the one of
+    the last F it served.
     """
 
     n: int
     seed: int
     count: int
     directions: np.ndarray
+    _slot: tuple[MeroFunction, SliceBatch] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         dirs = np.array(self.directions, dtype=complex)
@@ -84,6 +126,38 @@ class DirectionSample:
             raise ValueError(f"every direction must have norm 1 within {NORM_TOL}")
         dirs.setflags(write=False)
         object.__setattr__(self, "directions", dirs)
+
+    def slices(self, F: MeroFunction) -> SliceBatch:
+        """The slices of F along these directions, indeterminate ones skipped.
+
+        F and the sample are immutable, so the batch of the last F (by
+        identity) is kept and returned again.  A miss drops the kept batch
+        before building; a failure is raised and never kept.
+        """
+        slot = self._slot
+        if slot is not None and slot[0] is F:
+            return slot[1]
+        if self.n != F.n:
+            raise ValueError("sample dimension does not match F")
+        object.__setattr__(self, "_slot", None)
+        g_coef = slice_coefficients(F.numerator, self.directions)
+        h_coef = slice_coefficients(F.denominator, self.directions)
+        g_roots = batched_roots(g_coef)
+        h_roots = batched_roots(h_coef)
+        keep = root_separation(g_roots, h_roots) > INDETERMINACY_TOL
+        if not keep.any():
+            raise AllDirectionsSkippedError(
+                "all sampled directions were near-indeterminate (tol %.1e)" % INDETERMINACY_TOL
+            )
+        batch = SliceBatch(
+            total=self.count,
+            g_coef=g_coef[keep],
+            h_coef=h_coef[keep],
+            g_logroots=log_moduli(g_roots[keep]),
+            h_logroots=log_moduli(h_roots[keep]),
+        )
+        object.__setattr__(self, "_slot", (F, batch))
+        return batch
 
 
 @dataclass(frozen=True)
@@ -158,55 +232,6 @@ def sample_directions(n: int, count: int, seed: int) -> DirectionSample:
     return DirectionSample(n=n, seed=int(seed), count=int(count), directions=vecs)
 
 
-# ---------------------------------------------------------------------------
-# vectorized slice ensemble
-
-
-@dataclass(frozen=True, eq=False)
-class _Ensemble:
-    """Slice data for the kept (non-indeterminate) directions of a sample."""
-
-    total: int
-    g_coef: np.ndarray  # (kept, deg_g+1) complex, ascending
-    h_coef: np.ndarray
-    g_logroots: np.ndarray  # (kept, deg_g) float, +inf padding
-    h_logroots: np.ndarray
-
-    @property
-    def kept(self) -> int:
-        return self.g_coef.shape[0]
-
-    @property
-    def skipped(self) -> int:
-        return self.total - self.kept
-
-    def logroots(self, a: float) -> np.ndarray:
-        """log|z| of the a-points (zeros for a = 0, poles for a = inf)."""
-        return a_points(a, self.g_logroots, self.h_logroots)
-
-
-def _build_ensemble(F: MeroFunction, sample: DirectionSample) -> _Ensemble:
-    """The slices of the sample's directions, indeterminate ones skipped."""
-    if sample.n != F.n:
-        raise ValueError("sample dimension does not match F")
-    g_coef = slice_coefficients(F.numerator, sample.directions)
-    h_coef = slice_coefficients(F.denominator, sample.directions)
-    g_roots = batched_roots(g_coef)
-    h_roots = batched_roots(h_coef)
-    keep = root_separation(g_roots, h_roots) > INDETERMINACY_TOL
-    if not keep.any():
-        raise AllDirectionsSkippedError(
-            "all sampled directions were near-indeterminate (tol %.1e)" % INDETERMINACY_TOL
-        )
-    return _Ensemble(
-        total=sample.count,
-        g_coef=g_coef[keep],
-        h_coef=h_coef[keep],
-        g_logroots=log_moduli(g_roots[keep]),
-        h_logroots=log_moduli(h_roots[keep]),
-    )
-
-
 def _estimate(values: np.ndarray, count_used: int) -> Estimate:
     mean = float(values.mean())
     if count_used > 1:
@@ -230,24 +255,24 @@ def star_several(
     """Mean of T*(re^{i theta}, F_zeta) over the sample's directions."""
     check_positive(r, "r")
     check_circle([theta], M)
-    ens = _build_ensemble(F, sample)
-    return _estimate(star_rows(ens.g_coef, ens.h_coef, ens.h_logroots, r, [theta], M)[0], ens.kept)
+    batch = sample.slices(F)
+    return _estimate(batch.star_totals(r, [theta], M)[0], batch.kept)
 
 
 def counting_several(F: MeroFunction, r: float, a: float, sample: DirectionSample) -> Estimate:
     """Mean of N(r, a; F_zeta) over the sample's directions."""
     check_positive(r, "r")
     check_target(a)
-    ens = _build_ensemble(F, sample)
-    return _estimate(big_N_rows(ens.logroots(a), r), ens.kept)
+    batch = sample.slices(F)
+    return _estimate(big_N_rows(batch.logroots(a), r), batch.kept)
 
 
 def lelong_number(F: MeroFunction, t: float, a: float, sample: DirectionSample) -> Estimate:
     """Mean of n(t, a; F_zeta): the density of the a-divisor at scale t."""
     check_positive(t, "t")
     check_target(a)
-    ens = _build_ensemble(F, sample)
-    return _estimate(small_n_rows(ens.logroots(a), t), ens.kept)
+    batch = sample.slices(F)
+    return _estimate(small_n_rows(batch.logroots(a), t), batch.kept)
 
 
 def check_grid(r_values: Sequence[float], theta_values: Sequence[float], M: int) -> None:
@@ -273,17 +298,17 @@ def star_grid(
     r_values = tuple(float(r) for r in r_values)
     theta_values = tuple(float(t) for t in theta_values)
     check_grid(r_values, theta_values, M)
-    ens = _build_ensemble(F, sample)
+    batch = sample.slices(F)
     rows = []
     for r in r_values:
-        totals = star_rows(ens.g_coef, ens.h_coef, ens.h_logroots, r, theta_values, M)
-        rows.append(tuple(_estimate(totals[ti], ens.kept) for ti in range(len(theta_values))))
+        totals = batch.star_totals(r, theta_values, M)
+        rows.append(tuple(_estimate(totals[ti], batch.kept) for ti in range(len(theta_values))))
     return StarGrid(
         r_values=r_values,
         theta_values=theta_values,
         cells=tuple(rows),
         sample=sample,
-        skipped=ens.skipped,
+        skipped=batch.skipped,
     )
 
 
@@ -305,6 +330,7 @@ def check_stencil(
     work: the grid, the circle nodes and the test disks.  Returns rho."""
     if any(r <= 0 for r in r_values):
         raise ValueError("radii must be positive")
+    _check_sorted(r_values, theta_values)
     if len(r_values) < 3 or len(theta_values) < 3:
         raise ValueError("need at least a 3x3 grid for interior points")
     if circle_nodes < 4:
@@ -332,18 +358,22 @@ def mean_value_differences(
     Around each interior point z0 = r e^{i theta} the nodes sit on
     |z - z0| = rho at angles theta + angle(r + rho e^{2 pi i c/C}), so their
     radii |r + rho e^{2 pi i c/C}| are shared along grid rows and one circle
-    evaluation serves a radius.  ``totals(radius, thetas)`` returns T* at
-    each (radius, theta) as an array (len(thetas), columns), one column per
-    direction.  The result has shape (rows - 2, thetas - 2, columns).
+    evaluation serves a radius.  Node c > C/2 is taken as the exact conjugate
+    of node C - c, so mirrored nodes share their radius bit for bit.
+    ``totals(radius, thetas)`` returns T* at each (radius, theta) as an array
+    (len(thetas), columns), one column per direction.  The result has shape
+    (rows - 2, thetas - 2, columns).
     """
     r_values = [float(r) for r in r_values]
     theta_values = [float(t) for t in theta_values]
     rho = check_stencil(r_values, theta_values, rho, circle_nodes)
     interior_r, interior_t = r_values[1:-1], theta_values[1:-1]
     psi = 2.0 * math.pi * np.arange(circle_nodes) / circle_nodes
+    mirrored = np.arange(circle_nodes // 2 + 1, circle_nodes)
     rings: dict[float, list[tuple[float, int, int]]] = {}
     for ii, r in enumerate(interior_r):
         q = r + rho * np.exp(1j * psi)
+        q[mirrored] = q[circle_nodes - mirrored].conj()
         radii = np.abs(q)
         alphas = np.angle(q)
         for c in range(circle_nodes):
@@ -383,18 +413,18 @@ def subharmonicity_stats(
     """
     check_circle((), M)
     rho = check_stencil(r_values, theta_values, rho, circle_nodes)
-    ens = _build_ensemble(F, sample)
+    batch = sample.slices(F)
     diffs = mean_value_differences(
         r_values,
         theta_values,
         rho,
         circle_nodes,
-        lambda radius, thetas: star_rows(ens.g_coef, ens.h_coef, ens.h_logroots, radius, thetas, M),
+        lambda radius, thetas: batch.star_totals(radius, thetas, M),
     )
     stats = []
     for ii, r in enumerate(r_values[1:-1]):
         for jj, th in enumerate(theta_values[1:-1]):
-            est = _estimate(diffs[ii, jj], ens.kept)
+            est = _estimate(diffs[ii, jj], batch.kept)
             stats.append(
                 PointStat(
                     i=ii + 1,

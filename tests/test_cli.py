@@ -311,6 +311,10 @@ def test_bad_values_are_rejected_before_sampling(tmp_path, capsys, monkeypatch):
         (["check", "subharmonic", "--fn", fn, "--r-steps", "2"],
          "need at least a 3x3 grid for interior points"),
         (["check", "subharmonic", "--fn", fn, "--circle", "8"], "M must be at least 16, got 8"),
+        (["check", "subharmonic", "--fn", fn, "--r-min", "2", "--r-max", "0.5"],
+         "grid axes must be sorted ascending"),
+        (["check", "subharmonic", "--fn", fn, "--r-min", "2", "--r-max", "0.5", "--rho", "0.05"],
+         "grid axes must be sorted ascending"),
     ]
     for argv, message in cases:
         capsys.readouterr()

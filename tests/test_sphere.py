@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from starfn.funcdef import MeroFunction, MultiPoly, linear_form, parse_function
-from starfn.slicing import Direction, counting_record, indeterminacy_test, slice_divisor
+from starfn.slicing import (
+    Direction,
+    batched_roots,
+    counting_record,
+    indeterminacy_test,
+    slice_divisor,
+)
 from starfn.sphere import (
     AllDirectionsSkippedError,
     DirectionSample,
     Estimate,
+    SliceBatch,
     StarGrid,
+    check_stencil,
     counting_several,
     lelong_number,
     sample_directions,
@@ -18,7 +26,7 @@ from starfn.sphere import (
     subharmonicity_report,
     subharmonicity_stats,
 )
-from starfn.starcore import slice_star_total
+from starfn.starcore import slice_star_total, star_rows
 
 RATIO = parse_function("(1 - z1) / (1 - z2)", 2)
 ONE_PLUS_Z1 = parse_function("1 + z1", 2)
@@ -432,8 +440,9 @@ def test_subharmonicity_checks_the_grid_before_the_ensemble_is_built(monkeypatch
     def no_ensemble(*args, **kwargs):
         raise AssertionError("ensemble built before the grid was checked")
 
-    monkeypatch.setattr("starfn.sphere._build_ensemble", no_ensemble)
-    sample = sample_directions(2, 8, seed=2)
+    # substitution is the first step of a slice-batch build; a fresh sample
+    # per call has no kept batch that could hide a build
+    monkeypatch.setattr("starfn.sphere.slice_coefficients", no_ensemble)
     cases = [
         ((1.0, 2.0), (0.5, 1.0), {}, "3x3"),
         ((-1.0, 0.5, 2.0), GRID_TH, {}, "radii must be positive"),
@@ -442,8 +451,112 @@ def test_subharmonicity_checks_the_grid_before_the_ensemble_is_built(monkeypatch
     ]
     for r_values, theta_values, kwargs, message in cases:
         for check in (subharmonicity_stats, subharmonicity_report):
+            sample = sample_directions(2, 8, seed=2)
             with pytest.raises(ValueError, match=message):
                 check(RATIO, r_values, theta_values, sample, M=64, **kwargs)
+
+
+def test_stencil_rejects_unsorted_axes_before_deriving_rho():
+    sample = sample_directions(2, 8, seed=2)
+    descending = tuple(reversed(GRID_R))
+    for rho in (None, 0.05):
+        with pytest.raises(ValueError, match="grid axes must be sorted ascending"):
+            check_stencil(descending, GRID_TH, rho, 8)
+        with pytest.raises(ValueError, match="grid axes must be sorted ascending"):
+            subharmonicity_stats(RATIO, GRID_R, GRID_TH[::-1], sample, M=64, rho=rho)
+
+
+CRITERION_6_R = np.linspace(0.5, 2.0, 10)
+CRITERION_6_TH = np.linspace(0.15, math.pi - 0.15, 10)
+
+
+def test_stencil_evaluates_each_distinct_radius_once(monkeypatch):
+    # 8 interior rows, each with the radii of nodes 0, 1 = 7, 2 = 6, 3 = 5
+    # and 4 plus the centre: mirrored nodes share their radius bit for bit
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return star_rows(*args, **kwargs)
+
+    monkeypatch.setattr("starfn.sphere.star_rows", counted)
+    sample = sample_directions(2, 50, seed=600)
+    subharmonicity_stats(RATIO, CRITERION_6_R, CRITERION_6_TH, sample, M=64, circle_nodes=8)
+    assert len(calls) == 48
+    assert len(set(calls)) == 48
+
+
+# five (F, sample) calls of different kinds, each giving comparable values
+PAIR_CALLS = (
+    lambda F, sample: star_several(F, 2.0, 1.0, sample, M=64),
+    lambda F, sample: counting_several(F, 2.0, math.inf, sample),
+    lambda F, sample: lelong_number(F, 1.5, 0, sample),
+    lambda F, sample: star_grid(F, (1.0, 2.0), (0.5, 2.5), sample, M=64).cells,
+    lambda F, sample: subharmonicity_stats(F, GRID_R, GRID_TH, sample, M=64),
+)
+
+
+def _count_root_calls(monkeypatch) -> list[int]:
+    calls = []
+
+    def counted(coef):
+        calls.append(coef.shape[0])
+        return batched_roots(coef)
+
+    monkeypatch.setattr("starfn.sphere.batched_roots", counted)
+    return calls
+
+
+def test_one_slice_batch_serves_every_call_on_a_pair(monkeypatch):
+    calls = _count_root_calls(monkeypatch)
+    sample = sample_directions(2, 300, seed=41)
+    shared = [call(RATIO, sample) for call in PAIR_CALLS]
+    assert len(calls) == 2  # the roots of g and of h, once
+    assert sample.slices(RATIO) is sample.slices(RATIO)
+
+    fresh = [call(RATIO, sample_directions(2, 300, seed=41)) for call in PAIR_CALLS]
+    assert len(calls) == 12
+    assert shared == fresh  # bit-identical to samples that kept nothing
+
+
+def test_a_sample_keeps_the_batch_of_the_last_function_only(monkeypatch):
+    calls = _count_root_calls(monkeypatch)
+    sample = sample_directions(2, 100, seed=42)
+    first = counting_several(RATIO, 2.0, math.inf, sample)
+    counting_several(ONE_PLUS_Z1, 2.0, 0, sample)
+    assert len(calls) == 4
+    assert counting_several(RATIO, 2.0, math.inf, sample) == first
+    assert len(calls) == 6  # RATIO was rebuilt
+    counting_several(RATIO, 1.0, 0, sample)
+    assert len(calls) == 6
+
+
+def test_failures_are_raised_on_every_call_and_never_kept(monkeypatch):
+    calls = _count_root_calls(monkeypatch)
+    shared_root = parse_function("(1 - z1) / (1 - z1)", 2)
+    sample = sample_directions(2, 8, seed=2)
+    counting_several(RATIO, 2.0, math.inf, sample)
+    for expected in (4, 6):
+        with pytest.raises(AllDirectionsSkippedError):
+            counting_several(shared_root, 2.0, math.inf, sample)
+        assert len(calls) == expected
+    three = parse_function("1 + z3", 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="sample dimension does not match F"):
+            lelong_number(three, 1.0, 0, sample)
+    assert len(calls) == 6
+    counting_several(RATIO, 2.0, math.inf, sample)
+    assert len(calls) == 8  # the failed build dropped the kept batch
+
+
+def test_slice_batch_arrays_are_read_only():
+    batch = sample_directions(2, 20, seed=43).slices(RATIO)
+    assert isinstance(batch, SliceBatch)
+    assert (batch.total, batch.kept, batch.skipped) == (20, 20, 0)
+    for array in (batch.g_coef, batch.h_coef, batch.g_logroots, batch.h_logroots):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
 
 
 def test_thread_env_does_not_change_results(monkeypatch):
