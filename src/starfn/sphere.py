@@ -16,9 +16,10 @@ that the single-slice API runs on a batch of one.  The slices of F along a
 sample are one ``SliceBatch``, which ``DirectionSample.slices(F)`` builds:
 T*, the counting functions and the Lelong numbers all come from it.  The
 sample keeps the batch of the last F it served, so calls that share
-(F, sample) find the roots once, with unchanged results.  Estimates use
-numpy's pairwise summation, so results are bit-identical for a fixed seed
-regardless of the STARFN_THREADS chunking.
+(F, sample) find the roots once, with unchanged results.  The kernel may
+run on several threads (``starcore`` says how many), but each direction's
+T* is computed alone and the estimates sum the directions in one fixed
+order, so results are bit-identical for a fixed seed at any STARFN_THREADS.
 """
 
 from __future__ import annotations

@@ -44,6 +44,13 @@ its values doubled.  The coefficients meet the cached basis
 round a row differently with its position in the matrix or the BLAS thread
 count, and a row's values must not depend on the batch or on
 STARFN_THREADS.
+
+``star_rows`` runs a call of more than one block on threads: STARFN_THREADS
+of them if set (a positive integer), else one per CPU this process may run
+on, and never more than the blocks.  Each thread walks one contiguous share
+of the blocks, the pool lives for the call alone, and a one-block call,
+which every single-slice call is, starts no thread.  numpy releases the GIL
+inside its array loops, and every row's bits are those of the serial call.
 """
 
 from __future__ import annotations
@@ -261,28 +268,49 @@ def _circle_abs2(coef: np.ndarray, r: float, M: int) -> tuple[np.ndarray, np.nda
     return values, ok
 
 
+def _thread_count(blocks: int) -> int:
+    """Threads for a call of this many blocks: STARFN_THREADS if set, else
+    the CPUs this process may run on; never more than the blocks."""
+    env = os.environ.get("STARFN_THREADS")
+    if env is None:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no sched_getaffinity on this platform
+            cpus = os.cpu_count() or 1
+    else:
+        try:
+            cpus = int(env)
+        except ValueError:
+            cpus = 0
+        if cpus < 1:
+            raise ValueError(f"STARFN_THREADS must be a positive integer, got {env!r}")
+    return max(1, min(cpus, blocks))
+
+
 def star_rows(
     g_coef: np.ndarray, h_coef: np.ndarray, pole_logroots: np.ndarray, r: float, thetas, M: int
 ) -> np.ndarray:
     """T* = F* + N(r, inf) at each theta for the slices g_coef/h_coef with
     poles at log-moduli pole_logroots, one per row: array (len(thetas), rows).
-    Rows run in blocks of BLOCK_CELLS samples on STARFN_THREADS threads; a
-    row's arithmetic does not depend on its block, so neither does the result.
-    The values log(|g|^2/|h|^2) (module docstring) are halved after the bathtub."""
+    Rows run in blocks of BLOCK_CELLS samples; each of ``_thread_count``
+    threads walks one contiguous share of the blocks.  A row's arithmetic
+    does not depend on its block, so neither does the result.  The values
+    log(|g|^2/|h|^2) (module docstring) are halved after the bathtub."""
     nodes = unit_nodes(M)
     rows = g_coef.shape[0]
     out = np.empty((len(thetas), rows))
     chunk = max(1, BLOCK_CELLS // M)
-    spans = [(lo, min(lo + chunk, rows)) for lo in range(0, rows, chunk)]
 
-    def work(span: tuple[int, int]) -> None:
-        lo, hi = span
+    def block(lo: int, hi: int) -> None:
         g, h, n = g_coef[lo:hi], h_coef[lo:hi], hi - lo
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             p, p_ok = _circle_abs2(g, r, M)
             q, q_ok = _circle_abs2(h, r, M)
             ok = p_ok & q_ok
-            vals = np.divide(p, q, out=np.empty((n, M)))
+            # the quotient overwrites p, or q where g is constant (p is then
+            # a column), so a block holds one (n, M) array less
+            vals = p if p.shape[1] == M else q if q.shape[1] == M else np.empty((n, M))
+            np.divide(p, q, out=vals)
             np.log(vals, out=vals)
         if not ok.all():
             bad = ~ok
@@ -291,18 +319,19 @@ def star_rows(
         vals.sort(axis=-1)
         out[:, lo:hi] = _top_means(vals, thetas)
 
-    threads = 1
-    if len(spans) > 1:
-        try:
-            threads = int(os.environ.get("STARFN_THREADS", "1"))
-        except ValueError:
-            pass
+    def share(lo: int, hi: int) -> None:
+        for start in range(lo, hi, chunk):
+            block(start, min(start + chunk, hi))
+
+    blocks = -(-rows // chunk)
+    threads = _thread_count(blocks)
     if threads > 1:
+        # share i holds blocks [i*blocks//threads, (i+1)*blocks//threads)
+        bounds = [min(rows, i * blocks // threads * chunk) for i in range(threads + 1)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, spans))
+            list(pool.map(share, bounds[:-1], bounds[1:]))
     else:
-        for span in spans:
-            work(span)
+        share(0, rows)
     out *= 0.5
     out += big_N_rows(pole_logroots, r)
     return out

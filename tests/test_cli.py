@@ -335,15 +335,29 @@ def test_threads_env_does_not_change_exported_bytes(tmp_path, capsys, monkeypatc
             "--theta-min", "0.7", "--theta-max", "2.2", "--theta-steps", "2",
             "--samples", "1200", "--seed", "4", "--circle", "2048"]
 
-    monkeypatch.setenv("STARFN_THREADS", "3")
-    out_threaded = str(tmp_path / "threaded.csv")
-    assert main(args + ["--out", out_threaded]) == 0
-    monkeypatch.delenv("STARFN_THREADS")
-    out_serial = str(tmp_path / "serial.csv")
-    assert main(args + ["--out", out_serial]) == 0
+    exported = {}
+    for threads in ("1", "3", None):  # None: the default, every CPU the process may use
+        if threads is None:
+            monkeypatch.delenv("STARFN_THREADS")
+        else:
+            monkeypatch.setenv("STARFN_THREADS", threads)
+        out = tmp_path / f"threads-{threads}.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        exported[threads] = out.read_bytes()
     capsys.readouterr()
 
-    assert open(out_threaded, "rb").read() == open(out_serial, "rb").read()
+    assert exported["1"] == exported["3"] == exported[None]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch, value):
+    fn = _write_fn(tmp_path, "f.json", RATIONAL_SRC)
+    monkeypatch.setenv("STARFN_THREADS", value)
+    status = main(["star", "--fn", fn, "--r", "1.2", "--theta", "1", "--samples", "2000"])
+    assert status == 2
+    assert capsys.readouterr().err == (
+        f"starfn: STARFN_THREADS must be a positive integer, got {value!r}\n"
+    )
 
 
 def _console_script_command() -> list[str]:

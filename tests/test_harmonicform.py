@@ -252,6 +252,16 @@ def test_verify_harmonic_form_bounds():
     assert verify_harmonic_form(F_bumped, rep.form, trials=200, seed=4) >= 1e-4
 
 
+def test_verify_harmonic_form_near_a_pole_of_high_order():
+    # the expanded (1 - 3 z1)^12 cancels to rounding noise near its pole,
+    # which an absolute screen |H| > 1e-12 let through (2.46 at seed 0)
+    F = parse_function("1/(1 - 3*z1)^12", 2)
+    profile = tuple(complex(math.comb(k + 11, 11)) for k in range(13))
+    form = HarmonicForm(eta=(3 + 0j, 0j), profile=profile, residual=0.0)
+    for seed in range(4):
+        assert verify_harmonic_form(F, form, radius=0.5, seed=seed) <= 1e-10
+
+
 def test_harmonic_form_type_invariants():
     with pytest.raises(ValueError):
         HarmonicForm(eta=(0j, 0j), profile=(1 + 0j, 1 + 0j), residual=0.0)

@@ -4,6 +4,8 @@ A module may use another starfn module only through its public
 (non-underscore) names, so that every shared routine has one visible home,
 and only the modules before it in LAYERS, the order the package docstring
 lists them in.  Every name a package or test module imports is used.
+Threads live in ``starcore`` alone: no other module reads STARFN_THREADS or
+imports ``concurrent.futures``.
 """
 
 import ast
@@ -54,6 +56,24 @@ def _starfn_imports(path: Path) -> list[tuple[int, str]]:
     return found
 
 
+def _thread_uses(path: Path) -> list[str]:
+    """Lines of path that name STARFN_THREADS or import concurrent.futures."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Constant) and node.value == "STARFN_THREADS":
+            found.append(f"{path.name}:{node.lineno} reads STARFN_THREADS")
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.partition(".")[0] == "concurrent" for name in names):
+            found.append(f"{path.name}:{node.lineno} imports concurrent.futures")
+    return found
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names that path imports but never reads and does not list in __all__."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -101,6 +121,12 @@ def test_modules_import_only_earlier_layers(layer):
         if module not in LAYERS[:rank]
     ]
     assert upward == []
+
+
+def test_only_starcore_uses_threads():
+    uses = {path.stem: _thread_uses(path) for path in MODULES}
+    assert len(uses.pop("starcore")) == 2
+    assert [line for found in uses.values() for line in found] == []
 
 
 @pytest.mark.parametrize(

@@ -568,8 +568,10 @@ def test_thread_env_does_not_change_results(monkeypatch):
         grid = star_grid(RATIO, radii, thetas, sample, M=2048)
         return [(c.mean, c.stderr, c.count_used) for row in grid.cells for c in row]
 
-    monkeypatch.delenv("STARFN_THREADS", raising=False)
+    monkeypatch.setenv("STARFN_THREADS", "1")
     sequential = snapshot()
     monkeypatch.setenv("STARFN_THREADS", "4")
     threaded = snapshot()
-    assert sequential == threaded  # bit-identical, not just close
+    monkeypatch.delenv("STARFN_THREADS")  # the default: every CPU the process may use
+    default = snapshot()
+    assert sequential == threaded == default  # bit-identical, not just close

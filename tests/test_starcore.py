@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from starfn import starcore
 from starfn.funcdef import MeroFunction, MultiPoly, parse_function
 from starfn.slicing import (
     Direction,
@@ -318,33 +319,72 @@ def _trig_rows_ok(g, h, r, M):
 
 
 def test_a_row_of_star_rows_does_not_depend_on_its_batch_or_threads(monkeypatch):
-    # 300 rows span several blocks (96 rows at M=512, 12 at M=4096), and row
-    # 287 ends one at both; it has a zero 1e-7 outside the circle next to a
-    # node, so the gate sends it to Horner's rule
-    thetas = [0.4, math.pi / 2, 2.9]
-    for M in (512, 4096):
-        assert 288 % (BLOCK_CELLS // M) == 0
-        dirs = sample_directions(2, 300, seed=5).directions.copy()
-        turned, r = _zero_near_node(RATIONAL, Direction(tuple(dirs[287])), M)
-        dirs[287] = turned.components
+    # the rows span several blocks (256 rows at M=192, 96 at M=512, 12 at
+    # M=4096), in a count that 3 threads cannot share evenly, and row
+    # `edge` ends the third block; it has a zero 1e-7 outside the circle
+    # next to a node, so the gate sends it to Horner's rule.  M=192 with 16
+    # thetas is the criterion-6 stencil's shape
+    for M, rows, thetas in (
+        (192, 1100, list(np.linspace(0.1, 3.0, 16))),
+        (512, 300, [0.4, math.pi / 2, 2.9]),
+        (4096, 300, [0.4, math.pi / 2, 2.9]),
+    ):
+        chunk = BLOCK_CELLS // M
+        blocks, edge = -(-rows // chunk), 3 * chunk - 1
+        assert blocks > 3 and blocks % 3
+        dirs = sample_directions(2, rows, seed=5).directions.copy()
+        turned, r = _zero_near_node(RATIONAL, Direction(tuple(dirs[edge])), M)
+        dirs[edge] = turned.components
         # numerator and denominator of unequal degrees, of equal degrees, and
         # a constant denominator
         batches = [_slice_rows(F, dirs) for F in (RATIONAL, EQUAL_DEGREES, POLYNOMIAL)]
         assert [(g.shape[1], h.shape[1]) for g, h, _ in batches] == [(4, 5), (3, 3), (3, 1)]
         g, h, _ = batches[0]
         assert _trig_rows_ok(g[7:8], h[7:8], r, M)
-        assert not _trig_rows_ok(g[287:288], h[287:288], r, M)
+        assert not _trig_rows_ok(g[edge : edge + 1], h[edge : edge + 1], r, M)
         results = {}
-        for threads in ("1", "2"):
-            monkeypatch.setenv("STARFN_THREADS", threads)
+        for threads in ("1", "2", "3", None):
+            if threads is None:
+                monkeypatch.delenv("STARFN_THREADS")
+            else:
+                monkeypatch.setenv("STARFN_THREADS", threads)
             results[threads] = [star_rows(g, h, poles, r, thetas, M) for g, h, poles in batches]
-        for serial, threaded in zip(results["1"], results["2"]):
-            assert np.array_equal(serial, threaded)
-        rows = [(7, 287, 288), (150,), (270,)]
-        for (g, h, poles), batch, picked in zip(batches, results["1"], rows):
-            for i in picked:
+        for threads in ("2", "3", None):
+            for serial, threaded in zip(results["1"], results[threads]):
+                assert np.array_equal(serial, threaded)
+        picked = [(7, edge, edge + 1), (150,), (270,)]
+        for (g, h, poles), batch, rows_picked in zip(batches, results["1"], picked):
+            for i in rows_picked:
                 one = star_rows(g[i : i + 1], h[i : i + 1], poles[i : i + 1], r, thetas, M)
                 assert np.array_equal(one[:, 0], batch[:, i])
+
+
+def test_star_rows_starts_no_more_threads_than_blocks(monkeypatch):
+    # 300 rows at M=192 are two blocks of 256 and 44 rows
+    workers = []
+
+    class Recording(starcore.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(starcore, "ThreadPoolExecutor", Recording)
+    monkeypatch.setenv("STARFN_THREADS", "64")
+    g, h, poles = _slice_rows(RATIONAL, sample_directions(2, 300, seed=6).directions)
+    assert -(-300 // (BLOCK_CELLS // 192)) == 2
+    threaded = star_rows(g, h, poles, 1.2, [0.5, 2.0], 192)
+    assert workers == [2]
+    monkeypatch.setenv("STARFN_THREADS", "1")
+    assert np.array_equal(threaded, star_rows(g, h, poles, 1.2, [0.5, 2.0], 192))
+    assert workers == [2]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_star_rows_rejects_a_bad_thread_count(monkeypatch, value):
+    monkeypatch.setenv("STARFN_THREADS", value)
+    g, h, poles = _slice_rows(RATIONAL, sample_directions(2, 4, seed=6).directions)
+    with pytest.raises(ValueError, match="STARFN_THREADS"):
+        star_rows(g, h, poles, 1.2, [0.5], 192)
 
 
 @pytest.mark.parametrize("F", [RATIONAL, EQUAL_DEGREES], ids=["unequal", "equal"])
