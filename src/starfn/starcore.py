@@ -47,9 +47,11 @@ STARFN_THREADS.
 
 ``star_rows`` runs a call of more than one block on threads: STARFN_THREADS
 of them if set (a positive integer), else one per CPU this process may run
-on, and never more than the blocks.  Each thread walks one contiguous share
-of the blocks, the pool lives for the call alone, and a one-block call,
-which every single-slice call is, starts no thread.  numpy releases the GIL
+on, and never more than the blocks.  Each thread runs one task that claims
+the next unclaimed block until none is left, so a thread whose core is busy
+elsewhere leaves its blocks to the others rather than holding up the call.
+The pool lives for the call alone, and a one-block call, which every
+single-slice call is, starts no thread.  numpy releases the GIL
 inside its array loops, and every row's bits are those of the serial call.
 """
 
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -293,9 +296,10 @@ def star_rows(
     """T* = F* + N(r, inf) at each theta for the slices g_coef/h_coef with
     poles at log-moduli pole_logroots, one per row: array (len(thetas), rows).
     Rows run in blocks of BLOCK_CELLS samples; each of ``_thread_count``
-    threads walks one contiguous share of the blocks.  A row's arithmetic
-    does not depend on its block, so neither does the result.  The values
-    log(|g|^2/|h|^2) (module docstring) are halved after the bathtub."""
+    threads claims the next unclaimed block until none is left.  A row's
+    arithmetic does not depend on its block, so neither does the result.
+    The values log(|g|^2/|h|^2) (module docstring) are halved after the
+    bathtub."""
     nodes = unit_nodes(M)
     rows = g_coef.shape[0]
     out = np.empty((len(thetas), rows))
@@ -319,19 +323,26 @@ def star_rows(
         vals.sort(axis=-1)
         out[:, lo:hi] = _top_means(vals, thetas)
 
-    def share(lo: int, hi: int) -> None:
-        for start in range(lo, hi, chunk):
-            block(start, min(start + chunk, hi))
+    starts = iter(range(0, rows, chunk))
+    claim = threading.Lock()
 
-    blocks = -(-rows // chunk)
-    threads = _thread_count(blocks)
+    def work() -> None:
+        # a fixed share per thread would wait for the slowest thread; taking
+        # the next unclaimed block lets a thread on a busy core do fewer
+        while True:
+            with claim:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            block(lo, min(lo + chunk, rows))
+
+    threads = _thread_count(-(-rows // chunk))
     if threads > 1:
-        # share i holds blocks [i*blocks//threads, (i+1)*blocks//threads)
-        bounds = [min(rows, i * blocks // threads * chunk) for i in range(threads + 1)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(share, bounds[:-1], bounds[1:]))
+            for task in [pool.submit(work) for _ in range(threads)]:
+                task.result()
     else:
-        share(0, rows)
+        work()
     out *= 0.5
     out += big_N_rows(pole_logroots, r)
     return out

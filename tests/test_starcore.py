@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -377,6 +379,35 @@ def test_star_rows_starts_no_more_threads_than_blocks(monkeypatch):
     monkeypatch.setenv("STARFN_THREADS", "1")
     assert np.array_equal(threaded, star_rows(g, h, poles, 1.2, [0.5, 2.0], 192))
     assert workers == [2]
+
+
+def test_star_rows_claims_each_block_once_with_more_threads_than_cores(monkeypatch):
+    # 480 rows at M=4096 are 40 blocks of 12; 8 threads and a 1 us switch
+    # interval make the threads race for the next block as often as they can
+    g, h, poles = _slice_rows(RATIONAL, sample_directions(2, 480, seed=7).directions)
+    thetas = [0.4, 2.9]
+    monkeypatch.setenv("STARFN_THREADS", "1")
+    serial = star_rows(g, h, poles, 1.2, thetas, 4096)
+    claimed, top_means = [], starcore._top_means
+
+    def recording(asc, ths):
+        claimed.append(asc.shape[0])
+        return top_means(asc, ths)
+
+    monkeypatch.setattr(starcore, "_top_means", recording)
+    monkeypatch.setenv("STARFN_THREADS", "8")
+    result = []
+    runner = threading.Thread(target=lambda: result.append(star_rows(g, h, poles, 1.2, thetas, 4096)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert len(claimed) == 40 and sum(claimed) == 480
+    assert np.array_equal(result[0], serial)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
