@@ -18,8 +18,13 @@ agreement is one of the package's standing cross-checks.
 ``_top_means`` takes the bathtub value of sorted rows, one top-k sum per
 rank k, and ``star_rows``, the one T* kernel, runs it on the slice
 coefficients of all sampled directions or of a single one, in blocks of
-``BLOCK_CELLS`` samples.  Circle samples need no roots: a common factor of
-g and h cancels in log|g/h| up to rounding.
+``BLOCK_CELLS`` samples: 512 rows at M = 192, 96 at M = 1024, 24 at
+M = 4096.  A block's temporaries must fit one core's L2 cache (2 MiB on the
+2-core host the size was measured on), and a block must be large enough
+that its ~130 short numpy calls, each of which hands the GIL to the other
+threads, do not spend the call in those hand-offs; 256-row blocks did (see
+``BLOCK_CELLS``).  Circle samples need no roots: a common factor of g and h
+cancels in log|g/h| up to rounding.
 
 ``star_rows`` takes its circle values from squared moduli.  With
 a_k = g_k r^k, |g(re^{ix})|^2 is the real trigonometric polynomial
@@ -98,8 +103,11 @@ TRIG_GATE = 1.0e-6
 #: ... and where that scale stays below this bound; with g(0) = h(0) = 1 the
 #: scale is at least 1, so |g|^2/|h|^2 lies within 1e-306..1e306
 TRIG_SCALE_MAX = 1.0e300
-#: star_rows's block size in samples (rows times M): 256 rows at M = 192
-BLOCK_CELLS = 256 * 192
+#: star_rows's block size in samples (rows times M): 512 rows at M = 192.
+#: On 2 threads a 16-theta call on 10k rows at M = 192 made ~860 GIL
+#: hand-offs (voluntary context switches) with 256-row blocks and ~370 with
+#: these, and took 29 against 40 ms (medians)
+BLOCK_CELLS = 512 * 192
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +157,12 @@ class RearrangedProfile:
         object.__setattr__(self, "sorted_values", sv)
 
     def fstar(self, theta: float) -> float:
-        """Bathtub value: mean of the 2*theta-measure worth of top samples."""
-        return float(_top_means(self.sorted_values[::-1], [theta])[0])
+        """Bathtub value: mean of the 2*theta-measure worth of top samples.
+        The one-rank case of ``_top_means``, with its bits."""
+        asc = self.sorted_values[::-1]
+        M = asc.shape[0]
+        k, frac = split_theta(float(theta), M)
+        return float(_bathtub(np.add.reduce(asc[M - k :]), asc, k, frac))
 
 
 class LevelValue(float):
@@ -192,6 +204,15 @@ def split_theta(theta: float, M: int) -> tuple[int, float]:
     return k, s - k
 
 
+def _bathtub(top, asc: np.ndarray, k: int, frac: float):
+    """The bathtub value of ascending rows asc at rank k: top, the sum of
+    their top k entries, plus frac of the next entry, over M."""
+    M = asc.shape[-1]
+    if frac:
+        top = top + frac * asc[..., M - 1 - k]
+    return top / M
+
+
 def _top_means(asc: np.ndarray, thetas) -> np.ndarray:
     """Mean of the top 2*theta measure of each ascending row of asc, at each
     theta: shape (len(thetas),) + asc.shape[:-1].  A theta of rank k adds one
@@ -203,10 +224,7 @@ def _top_means(asc: np.ndarray, thetas) -> np.ndarray:
         k, frac = split_theta(float(theta), M)
         if k not in tops:
             tops[k] = np.add.reduce(asc[..., M - k :], axis=-1)
-        v = tops[k]
-        if frac:
-            v = v + frac * asc[..., M - 1 - k]
-        out[i] = v / M
+        out[i] = _bathtub(tops[k], asc, k, frac)
     return out
 
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from starfn.funcdef import MeroFunction, MultiPoly, linear_form, parse_function
+from starfn import harmonicform
 from starfn.harmonicform import (
+    _pade_split,
     CanonicalProduct,
     DetectionReport,
     HarmonicForm,
@@ -260,6 +262,36 @@ def test_verify_harmonic_form_near_a_pole_of_high_order():
     form = HarmonicForm(eta=(3 + 0j, 0j), profile=profile, residual=0.0)
     for seed in range(4):
         assert verify_harmonic_form(F, form, radius=0.5, seed=seed) <= 1e-10
+
+
+def test_verify_harmonic_form_screens_only_an_f_with_poles(monkeypatch):
+    # a polynomial F has H = 1, which the pole screen cannot reject: one
+    # slice_coefficients pass, for G; a rational F adds two, for H and its
+    # rounding scale
+    calls = []
+    slice_coefficients = harmonicform.slice_coefficients
+
+    def counting(p, dirs):
+        calls.append(p)
+        return slice_coefficients(p, dirs)
+
+    monkeypatch.setattr(harmonicform, "slice_coefficients", counting)
+    rep = detect_harmonic_form(F_HARMONIC)
+    assert verify_harmonic_form(F_HARMONIC, rep.form, trials=1000, seed=4) <= 1e-10
+    assert calls == [F_HARMONIC.numerator]
+    F = parse_function("1 / (1 - 0.5*z1 - 0.25*z2)^3", 2)
+    calls.clear()
+    assert verify_harmonic_form(F, detect_harmonic_form(F).form) <= 1e-10
+    assert len(calls) == 3
+
+
+def test_pade_split_of_a_pole_of_high_order_is_exact():
+    # with a constant numerator the system is lower-triangular Toeplitz, and
+    # the denominator of 1/(1-u)^12 comes out as its binomials, bit for bit
+    profile = [complex(math.comb(k + 11, 11)) for k in range(13)]
+    num, den = _pade_split(profile, 0, 12)
+    assert np.array_equal(num, [1])
+    assert np.array_equal(den, [(-1) ** k * math.comb(12, k) for k in range(13)])
 
 
 def test_harmonic_form_type_invariants():

@@ -320,49 +320,81 @@ def _trig_rows_ok(g, h, r, M):
     return bool(_circle_abs2(g, r, M)[1][0] and _circle_abs2(h, r, M)[1][0])
 
 
+def _batches_with_a_gated_row(M, rows, edge):
+    """Slice rows of the three F shapes on `rows` directions, with direction
+    `edge` turned to put a zero 1e-7 outside the circle next to a node, so
+    that the gate sends that row to Horner's rule; and the radius."""
+    dirs = sample_directions(2, rows, seed=5).directions.copy()
+    turned, r = _zero_near_node(RATIONAL, Direction(tuple(dirs[edge])), M)
+    dirs[edge] = turned.components
+    # numerator and denominator of unequal degrees, of equal degrees, and
+    # a constant denominator
+    batches = [_slice_rows(F, dirs) for F in (RATIONAL, EQUAL_DEGREES, POLYNOMIAL)]
+    assert [(g.shape[1], h.shape[1]) for g, h, _ in batches] == [(4, 5), (3, 3), (3, 1)]
+    g, h, _ = batches[0]
+    assert _trig_rows_ok(g[7:8], h[7:8], r, M)
+    assert not _trig_rows_ok(g[edge : edge + 1], h[edge : edge + 1], r, M)
+    return batches, r
+
+
+def _star_rows_at(monkeypatch, threads, batches, r, thetas, M):
+    if threads is None:
+        monkeypatch.delenv("STARFN_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("STARFN_THREADS", threads)
+    return [star_rows(g, h, poles, r, thetas, M) for g, h, poles in batches]
+
+
 def test_a_row_of_star_rows_does_not_depend_on_its_batch_or_threads(monkeypatch):
-    # the rows span several blocks (256 rows at M=192, 96 at M=512, 12 at
-    # M=4096), in a count that 3 threads cannot share evenly, and row
-    # `edge` ends the third block; it has a zero 1e-7 outside the circle
-    # next to a node, so the gate sends it to Horner's rule.  M=192 with 16
-    # thetas is the criterion-6 stencil's shape
-    for M, rows, thetas in (
-        (192, 1100, list(np.linspace(0.1, 3.0, 16))),
-        (512, 300, [0.4, math.pi / 2, 2.9]),
-        (4096, 300, [0.4, math.pi / 2, 2.9]),
+    # the rows span five blocks (BLOCK_CELLS // M rows each), a count that 3
+    # threads cannot share evenly, and row `edge`, which the gate sends to
+    # Horner's rule, ends the third block.  M=192 with 16 thetas is the
+    # criterion-6 stencil's shape
+    for M, thetas in (
+        (192, list(np.linspace(0.1, 3.0, 16))),
+        (512, [0.4, math.pi / 2, 2.9]),
+        (4096, [0.4, math.pi / 2, 2.9]),
     ):
         chunk = BLOCK_CELLS // M
+        rows = 4 * chunk + chunk // 4
         blocks, edge = -(-rows // chunk), 3 * chunk - 1
         assert blocks > 3 and blocks % 3
-        dirs = sample_directions(2, rows, seed=5).directions.copy()
-        turned, r = _zero_near_node(RATIONAL, Direction(tuple(dirs[edge])), M)
-        dirs[edge] = turned.components
-        # numerator and denominator of unequal degrees, of equal degrees, and
-        # a constant denominator
-        batches = [_slice_rows(F, dirs) for F in (RATIONAL, EQUAL_DEGREES, POLYNOMIAL)]
-        assert [(g.shape[1], h.shape[1]) for g, h, _ in batches] == [(4, 5), (3, 3), (3, 1)]
-        g, h, _ = batches[0]
-        assert _trig_rows_ok(g[7:8], h[7:8], r, M)
-        assert not _trig_rows_ok(g[edge : edge + 1], h[edge : edge + 1], r, M)
-        results = {}
-        for threads in ("1", "2", "3", None):
-            if threads is None:
-                monkeypatch.delenv("STARFN_THREADS")
-            else:
-                monkeypatch.setenv("STARFN_THREADS", threads)
-            results[threads] = [star_rows(g, h, poles, r, thetas, M) for g, h, poles in batches]
+        batches, r = _batches_with_a_gated_row(M, rows, edge)
+        results = {
+            threads: _star_rows_at(monkeypatch, threads, batches, r, thetas, M)
+            for threads in ("1", "2", "3", None)
+        }
         for threads in ("2", "3", None):
             for serial, threaded in zip(results["1"], results[threads]):
                 assert np.array_equal(serial, threaded)
-        picked = [(7, edge, edge + 1), (150,), (270,)]
+        picked = [(7, edge, edge + 1), (rows // 2,), (rows - 1,)]
         for (g, h, poles), batch, rows_picked in zip(batches, results["1"], picked):
             for i in rows_picked:
                 one = star_rows(g[i : i + 1], h[i : i + 1], poles[i : i + 1], r, thetas, M)
                 assert np.array_equal(one[:, 0], batch[:, i])
 
 
+def test_star_rows_does_not_depend_on_the_block_size(monkeypatch):
+    # from 7-row blocks at M=192 (one row at larger M) to one block for the
+    # whole call, serial and on 2 threads
+    for M, rows, thetas in (
+        (192, 1100, list(np.linspace(0.1, 3.0, 16))),
+        (1024, 150, [0.4, math.pi / 2, 2.9]),
+        (4096, 150, [0.4, math.pi / 2, 2.9]),
+    ):
+        batches, r = _batches_with_a_gated_row(M, rows, 100)
+        results = []
+        for cells in (7 * 192, 256 * 192, 512 * 192, 1 << 20):
+            monkeypatch.setattr(starcore, "BLOCK_CELLS", cells)
+            for threads in ("1", "2"):
+                results.append(_star_rows_at(monkeypatch, threads, batches, r, thetas, M))
+        for result in results[1:]:
+            for want, got in zip(results[0], result):
+                assert np.array_equal(want, got)
+
+
 def test_star_rows_starts_no_more_threads_than_blocks(monkeypatch):
-    # 300 rows at M=192 are two blocks of 256 and 44 rows
+    # rows at M=192 that make two blocks, a full one and one of 44 rows
     workers = []
 
     class Recording(starcore.ThreadPoolExecutor):
@@ -372,8 +404,9 @@ def test_star_rows_starts_no_more_threads_than_blocks(monkeypatch):
 
     monkeypatch.setattr(starcore, "ThreadPoolExecutor", Recording)
     monkeypatch.setenv("STARFN_THREADS", "64")
-    g, h, poles = _slice_rows(RATIONAL, sample_directions(2, 300, seed=6).directions)
-    assert -(-300 // (BLOCK_CELLS // 192)) == 2
+    rows = BLOCK_CELLS // 192 + 44
+    g, h, poles = _slice_rows(RATIONAL, sample_directions(2, rows, seed=6).directions)
+    assert -(-rows // (BLOCK_CELLS // 192)) == 2
     threaded = star_rows(g, h, poles, 1.2, [0.5, 2.0], 192)
     assert workers == [2]
     monkeypatch.setenv("STARFN_THREADS", "1")
@@ -382,9 +415,10 @@ def test_star_rows_starts_no_more_threads_than_blocks(monkeypatch):
 
 
 def test_star_rows_claims_each_block_once_with_more_threads_than_cores(monkeypatch):
-    # 480 rows at M=4096 are 40 blocks of 12; 8 threads and a 1 us switch
-    # interval make the threads race for the next block as often as they can
-    g, h, poles = _slice_rows(RATIONAL, sample_directions(2, 480, seed=7).directions)
+    # 40 blocks at M=4096; 8 threads and a 1 us switch interval make the
+    # threads race for the next block as often as they can
+    rows = 40 * (BLOCK_CELLS // 4096)
+    g, h, poles = _slice_rows(RATIONAL, sample_directions(2, rows, seed=7).directions)
     thetas = [0.4, 2.9]
     monkeypatch.setenv("STARFN_THREADS", "1")
     serial = star_rows(g, h, poles, 1.2, thetas, 4096)
@@ -406,7 +440,7 @@ def test_star_rows_claims_each_block_once_with_more_threads_than_cores(monkeypat
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
-    assert len(claimed) == 40 and sum(claimed) == 480
+    assert len(claimed) == 40 and sum(claimed) == rows
     assert np.array_equal(result[0], serial)
 
 
@@ -461,16 +495,21 @@ def test_star_rows_clamps_an_exact_zero_and_zeroes_a_common_one():
     assert abs(floor[0, 0] - LOG_FLOOR / M) < 1.0  # the mean of the samples holds LOG_FLOOR / M
 
 
-def test_star_rows_memory_does_not_grow_with_the_block_at_large_M():
-    # a block holds about BLOCK_CELLS samples, 6 rows at M=8192, so the
-    # temporaries of 2000 rows stay far below one 256-row block (17 MB)
+def test_star_rows_memory_does_not_grow_with_the_block_at_large_M(monkeypatch):
+    # a block holds about BLOCK_CELLS samples, 12 rows at M=8192, so the
+    # temporaries of 2000 rows on one thread stay far below one 256-row
+    # block (17 MB); each thread holds the temporaries of its own block
     M, thetas = 8192, [0.4, math.pi / 2, 2.9]
     g, h, poles = _slice_rows(RATIONAL, sample_directions(2, 2000, seed=6).directions)
     star_rows(g[:1], h[:1], poles[:1], 1.3, thetas, M)  # fill the per-M caches
-    tracemalloc.start()
-    try:
-        star_rows(g, h, poles, 1.3, thetas, M)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+    peaks = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("STARFN_THREADS", threads)
+        tracemalloc.start()
+        try:
+            star_rows(g, h, poles, 1.3, thetas, M)
+            peaks[threads] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["1"] < 4e6
+    assert peaks["2"] <= 2 * peaks["1"]
