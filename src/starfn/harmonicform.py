@@ -404,13 +404,24 @@ def slice_harmonicity_test(
     The subharmonic inequality always holds; equality at every point is the
     signature of a harmonic slice.  This is ``subharmonicity_stats``, stencil
     and T* kernel, on the one direction zeta: the poles are found once, and
-    each node radius costs one circle evaluation and one sort.
+    all rings are one ``star_rows`` call, with the slice once per ring radius
+    as its rows and the distinct thetas of all rings as its columns.  A
+    row's T* at a theta depends on that row and theta alone, so each ring
+    reads the bits of a call of its own.
     """
     div = slice_divisor(F, zeta)
-    g, h, poles = div.pair.g.row, div.pair.h.row, div.logroots(math.inf)
+    slice_rows = (div.pair.g.row, div.pair.h.row, div.logroots(math.inf))
 
-    def totals(radius: float, thetas: list[float]) -> np.ndarray:
-        return star_rows(g, h, poles, radius, thetas, M)
+    def totals(rings: list[tuple[float, list[float]]]) -> list[np.ndarray]:
+        distinct = dict.fromkeys(theta for _, thetas in rings for theta in thetas)
+        columns = {theta: col for col, theta in enumerate(distinct)}
+        stacked = [np.repeat(a, len(rings), axis=0) for a in slice_rows]
+        radii = np.array([radius for radius, _ in rings])
+        values = star_rows(*stacked, radii, list(columns), M)
+        return [
+            values[[columns[theta] for theta in thetas], i : i + 1]
+            for i, (_, thetas) in enumerate(rings)
+        ]
 
     diffs = mean_value_differences(r_values, theta_values, rho, circle_nodes, totals)
     return bool(np.all(np.abs(diffs) <= tol))

@@ -15,15 +15,17 @@ evaluation (``horner_rows``, ``circle_log_values``), the indeterminacy rule
 
 The single-slice API runs them on a batch of one.  ``slice_divisor`` cancels
 common roots (a shared root is a removable factor of the slice, not an
-a-point); the sphere averages skip such directions instead.  The Jensen
-residual is a global consistency check: N(r,0) - N(r,inf) equals the circle
-mean of log|F(r e^{ix} zeta)|.
+a-point); the sphere averages skip such directions instead.  A
+``Direction`` keeps the divisor of the last F it served, as a
+``DirectionSample`` keeps its slice batch, so the single-slice queries find
+a slice's roots once.  The Jensen residual is a global consistency check:
+N(r,0) - N(r,inf) equals the circle mean of log|F(r e^{ix} zeta)|.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -81,9 +83,16 @@ class CircleProximityError(ValueError):
 
 @dataclass(frozen=True)
 class Direction:
-    """A point zeta on the unit sphere of C^n."""
+    """A point zeta on the unit sphere of C^n.
+
+    ``slice_divisor`` keeps the divisor of the last F it served on this
+    direction; the slot takes no part in equality, hashing or repr.
+    """
 
     components: tuple[complex, ...]
+    _divisor: tuple[MeroFunction, SliceDivisor] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         comps = tuple(complex(c) for c in self.components)
@@ -161,8 +170,9 @@ def batched_roots(coef: np.ndarray) -> np.ndarray:
 
 
 def horner_rows(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Each row of ascending coefficients evaluated at the points w."""
-    acc = np.empty((coef.shape[0], w.size), dtype=complex)
+    """Each row of ascending coefficients evaluated at the points w: one
+    vector of points for every row, or a (rows, points) array of them."""
+    acc = np.empty((coef.shape[0], w.shape[-1]), dtype=complex)
     acc[:] = coef[:, -1:]
     for k in range(coef.shape[1] - 2, -1, -1):
         acc *= w
@@ -204,9 +214,11 @@ def a_points(a: float, zeros, poles):
     return zeros if a == 0 else poles
 
 
-def big_N_rows(logroots: np.ndarray, r: float) -> np.ndarray:
-    """N(r) per row: sum of log(r/|z_j|) over the roots inside |z| <= r."""
-    return np.maximum(math.log(r) - logroots, 0.0).sum(axis=1)
+def big_N_rows(logroots: np.ndarray, r) -> np.ndarray:
+    """N(r) per row: sum of log(r/|z_j|) over the roots inside |z| <= r, for
+    one radius r or an array of one radius per row."""
+    log_r = math.log(r) if np.ndim(r) == 0 else np.array([math.log(x) for x in r])[:, None]
+    return np.maximum(log_r - logroots, 0.0).sum(axis=1)
 
 
 def small_n_rows(logroots: np.ndarray, t: float) -> np.ndarray:
@@ -447,7 +459,15 @@ def roots_in_disk(u: UniPoly, t: float) -> RootSet:
 
 
 def slice_divisor(F: MeroFunction, zeta: Direction) -> SliceDivisor:
-    """Slice zeros and poles with common g/h roots cancelled in pairs."""
+    """Slice zeros and poles with common g/h roots cancelled in pairs.
+
+    F and zeta are immutable, so zeta keeps the divisor of the last F (by
+    identity) and returns it again; a miss rebuilds, and a failure is raised
+    and never kept.
+    """
+    slot = zeta._divisor
+    if slot is not None and slot[0] is F:
+        return slot[1]
     pair = make_slice(F, zeta)
     gset = roots_in_disk(pair.g, math.inf)
     hset = roots_in_disk(pair.h, math.inf)
@@ -465,12 +485,14 @@ def slice_divisor(F: MeroFunction, zeta: Direction) -> SliceDivisor:
                 prec[1] -= m
                 if zrec[1] == 0:
                     break
-    return SliceDivisor(
+    div = SliceDivisor(
         pair=pair,
         zeros=tuple((z, m) for z, m in zeros if m > 0),
         poles=tuple((z, m) for z, m in poles if m > 0),
         cancelled=tuple(cancelled),
     )
+    object.__setattr__(zeta, "_divisor", (F, div))
+    return div
 
 
 def counting_small_n(F: MeroFunction, zeta: Direction, t: float, a: float) -> int:

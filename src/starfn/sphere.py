@@ -12,7 +12,7 @@ measure zero, so skips are rare and the estimate is unbiased in the limit.
 
 Everything slice-related is evaluated for all directions at once, with the
 batched primitives of ``slicing`` and the T* kernel ``starcore.star_rows``
-that the single-slice API runs on a batch of one.  The slices of F along a
+that the single-slice API runs too.  The slices of F along a
 sample are one ``SliceBatch``, which ``DirectionSample.slices(F)`` builds:
 T*, the counting functions and the Lelong numbers all come from it.  The
 sample keeps the batch of the last F it served, so calls that share
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -352,7 +352,7 @@ def mean_value_differences(
     theta_values: Sequence[float],
     rho: float | None,
     circle_nodes: int,
-    totals: Callable[[float, list[float]], np.ndarray],
+    totals: Callable[[list[tuple[float, list[float]]]], Iterable[np.ndarray]],
 ) -> np.ndarray:
     """Circle mean minus centre value of T* at every interior grid point.
 
@@ -361,9 +361,11 @@ def mean_value_differences(
     radii |r + rho e^{2 pi i c/C}| are shared along grid rows and one circle
     evaluation serves a radius.  Node c > C/2 is taken as the exact conjugate
     of node C - c, so mirrored nodes share their radius bit for bit.
-    ``totals(radius, thetas)`` returns T* at each (radius, theta) as an array
-    (len(thetas), columns), one column per direction.  The result has shape
-    (rows - 2, thetas - 2, columns).
+    ``totals(rings)`` takes every ring, a (radius, thetas) pair, the node
+    radii first and then one centre ring per interior row, and returns T* at
+    each ring's (radius, theta) as arrays (len(thetas), columns), one column
+    per direction, in ring order; they are read one at a time.  The result
+    has shape (rows - 2, thetas - 2, columns).
     """
     r_values = [float(r) for r in r_values]
     theta_values = [float(t) for t in theta_values]
@@ -384,15 +386,19 @@ def mean_value_differences(
                     raise ValueError("circle node leaves the closed upper half-plane")
                 rings.setdefault(float(radii[c]), []).append((th, ii, jj))
 
+    results = iter(totals(
+        [(radius, [e[0] for e in entries]) for radius, entries in rings.items()]
+        + [(r, interior_t) for r in interior_r]
+    ))
     acc = None
-    for radius, entries in rings.items():
-        ring = totals(radius, [e[0] for e in entries])
+    for entries in rings.values():
+        ring = next(results)
         if acc is None:
             acc = np.zeros((len(interior_r), len(interior_t), ring.shape[1]))
         for row, (_, ii, jj) in zip(ring, entries):
             acc[ii, jj] += row
-    for ii, r in enumerate(interior_r):
-        acc[ii] = acc[ii] / circle_nodes - totals(r, interior_t)
+    for ii in range(len(interior_r)):
+        acc[ii] = acc[ii] / circle_nodes - next(results)
     return acc
 
 
@@ -410,7 +416,9 @@ def subharmonicity_stats(
     For each interior z0 = r e^{i theta} the statistic is the average of
     T* over ``circle_nodes`` points of the circle |z - z0| = rho minus
     T*(z0), estimated per-direction with common random numbers on the nodes
-    of ``mean_value_differences``, evaluated radius by radius.
+    of ``mean_value_differences``.  Its rings are evaluated lazily, one
+    ``star_totals`` call per distinct radius, so one ring's T* of every kept
+    direction is held at a time.
     """
     check_circle((), M)
     rho = check_stencil(r_values, theta_values, rho, circle_nodes)
@@ -420,7 +428,7 @@ def subharmonicity_stats(
         theta_values,
         rho,
         circle_nodes,
-        lambda radius, thetas: batch.star_totals(radius, thetas, M),
+        lambda rings: (batch.star_totals(radius, thetas, M) for radius, thetas in rings),
     )
     stats = []
     for ii, r in enumerate(r_values[1:-1]):

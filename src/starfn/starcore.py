@@ -55,9 +55,10 @@ of them if set (a positive integer), else one per CPU this process may run
 on, and never more than the blocks.  Each thread runs one task that claims
 the next unclaimed block until none is left, so a thread whose core is busy
 elsewhere leaves its blocks to the others rather than holding up the call.
-The pool lives for the call alone, and a one-block call, which every
-single-slice call is, starts no thread.  numpy releases the GIL
-inside its array loops, and every row's bits are those of the serial call.
+The pool lives for the call alone, and a one-block call starts no thread;
+``slice_harmonicity_test``'s call, one row per ring radius, is one block up
+to M = 4096.  numpy releases the GIL inside its array loops, and every
+row's bits are those of the serial call.
 """
 
 from __future__ import annotations
@@ -262,11 +263,12 @@ def _circle_tables(M: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return powers, lags, basis
 
 
-def _circle_abs2(coef: np.ndarray, r: float, M: int) -> tuple[np.ndarray, np.ndarray]:
+def _circle_abs2(coef: np.ndarray, r, M: int) -> tuple[np.ndarray, np.ndarray]:
     """|p(re^{ix})|^2 at the M midpoint angles for each row p of ascending
     coefficients, (rows, M), or (rows, 1) for constant rows; and a mask of
     the rows with min |p|^2 >= TRIG_GATE * (sum_k |p_k| r^k)^2 and that
-    scale below TRIG_SCALE_MAX (False for a NaN).
+    scale below TRIG_SCALE_MAX (False for a NaN).  r is one radius, or an
+    array of one radius per row.
 
     Every step is row-wise and in a fixed order, so a row's bits do not
     depend on the other rows.
@@ -309,25 +311,28 @@ def _thread_count(blocks: int) -> int:
 
 
 def star_rows(
-    g_coef: np.ndarray, h_coef: np.ndarray, pole_logroots: np.ndarray, r: float, thetas, M: int
+    g_coef: np.ndarray, h_coef: np.ndarray, pole_logroots: np.ndarray, r, thetas, M: int
 ) -> np.ndarray:
     """T* = F* + N(r, inf) at each theta for the slices g_coef/h_coef with
     poles at log-moduli pole_logroots, one per row: array (len(thetas), rows).
-    Rows run in blocks of BLOCK_CELLS samples; each of ``_thread_count``
-    threads claims the next unclaimed block until none is left.  A row's
-    arithmetic does not depend on its block, so neither does the result.
-    The values log(|g|^2/|h|^2) (module docstring) are halved after the
-    bathtub."""
+    r is one radius for every row or an array of one radius per row; a row's
+    values are those of a call with its radius alone.  Rows run in blocks of
+    BLOCK_CELLS samples; each of ``_thread_count`` threads claims the next
+    unclaimed block until none is left.  A row's arithmetic does not depend
+    on its block, so neither does the result.  The values log(|g|^2/|h|^2)
+    (module docstring) are halved after the bathtub."""
     nodes = unit_nodes(M)
     rows = g_coef.shape[0]
     out = np.empty((len(thetas), rows))
     chunk = max(1, BLOCK_CELLS // M)
+    per_row = np.ndim(r) != 0
 
     def block(lo: int, hi: int) -> None:
         g, h, n = g_coef[lo:hi], h_coef[lo:hi], hi - lo
+        radius = r[lo:hi] if per_row else r
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            p, p_ok = _circle_abs2(g, r, M)
-            q, q_ok = _circle_abs2(h, r, M)
+            p, p_ok = _circle_abs2(g, radius, M)
+            q, q_ok = _circle_abs2(h, radius, M)
             ok = p_ok & q_ok
             # the quotient overwrites p, or q where g is constant (p is then
             # a column), so a block holds one (n, M) array less
@@ -336,7 +341,8 @@ def star_rows(
             np.log(vals, out=vals)
         if not ok.all():
             bad = ~ok
-            fallback, _ = sanitize_log_values(circle_log_values(g[bad], h[bad], r * nodes))
+            w = (radius[bad, None] if per_row else radius) * nodes
+            fallback, _ = sanitize_log_values(circle_log_values(g[bad], h[bad], w))
             vals[bad] = 2.0 * fallback
         vals.sort(axis=-1)
         out[:, lo:hi] = _top_means(vals, thetas)

@@ -20,7 +20,9 @@ from starfn.harmonicform import (
     slice_harmonicity_test,
     verify_harmonic_form,
 )
-from starfn.slicing import Direction
+from starfn.slicing import Direction, slice_divisor
+from starfn.sphere import mean_value_differences, sample_directions
+from starfn.starcore import _circle_abs2, star_rows
 
 # F(Z) = P(Z.eta) with P = (1 + u/2)^2 and eta = (1, 2)
 F_HARMONIC = parse_function("1 + z1 + 2*z2 + 0.25*z1^2 + z1*z2 + z2^2", 2)
@@ -347,3 +349,48 @@ def test_slice_harmonicity_separates_ray_from_generic():
         slice_harmonicity_test(
             F_gen, zeta, (0.5, 1.0, 1.5), (0.01, 0.05, 0.1), M=64, rho=0.2
         )
+
+
+def _per_ring_differences(F, zeta, M):
+    """The stencil of slice_harmonicity_test with one star_rows call per ring."""
+    div = slice_divisor(F, zeta)
+    g, h, poles = div.pair.g.row, div.pair.h.row, div.logroots(math.inf)
+    return mean_value_differences(
+        GRID_R, GRID_TH, None, 8,
+        lambda rings: [star_rows(g, h, poles, radius, thetas, M) for radius, thetas in rings],
+    )
+
+
+def test_slice_harmonicity_test_is_one_kernel_call_with_the_bits_of_one_per_ring(monkeypatch):
+    # 17 rings on the 5x5 grid, one row each; at M=8192 (12 rows a block)
+    # the stacked call spans two blocks and runs on two threads when it may.
+    # F_HARMONIC is criterion 7's ray form, and on 4 of criterion 7's 5
+    # directions its double zero sends some ring to Horner's rule
+    calls, diffs = [], []
+
+    def counted(g, h, poles, r, thetas, M):
+        calls.append(r)
+        return star_rows(g, h, poles, r, thetas, M)
+
+    def kept(*args):
+        diffs.append(mean_value_differences(*args))
+        return diffs[-1]
+
+    monkeypatch.setattr(harmonicform, "star_rows", counted)
+    monkeypatch.setattr(harmonicform, "mean_value_differences", kept)
+    cases = [(F_HARMONIC, Direction((1 + 0j, 0j)))]
+    cases += [(F_HARMONIC, Direction(tuple(d))) for d in sample_directions(2, 5, seed=700).directions]
+    gated = 0
+    for F, zeta in cases:
+        for M in (1024, 8192):
+            by_threads = []
+            for threads in ("1", "2"):
+                monkeypatch.setenv("STARFN_THREADS", threads)
+                assert slice_harmonicity_test(F, zeta, GRID_R, GRID_TH, M=M, tol=1e-3)
+                assert len(calls) == 1 and calls[0].shape == (17,)
+                radii = calls.pop()
+                by_threads.append(diffs.pop().tobytes())
+            assert by_threads[0] == by_threads[1] == _per_ring_differences(F, zeta, M).tobytes()
+        g = slice_divisor(F, zeta).pair.g.row
+        gated += any(not _circle_abs2(g, radius, 1024)[1][0] for radius in radii)
+    assert gated == 4

@@ -8,6 +8,7 @@ from starfn.slicing import (
     CircleProximityError,
     CountingRecord,
     Direction,
+    RootFindingError,
     SlicePair,
     UniPoly,
     batched_roots,
@@ -21,6 +22,7 @@ from starfn.slicing import (
     slice_coefficients,
     slice_divisor,
 )
+from starfn.starcore import slice_star_total
 
 F_RATIO = parse_function("(z1-1)/(z2-1)", 2)
 ZETA_86 = Direction((0.8, 0.6))
@@ -310,3 +312,71 @@ def test_batch_of_one_gives_the_bits_of_its_row_in_a_batch():
             one = slice_coefficients(p, dirs[i : i + 1])
             assert np.array_equal(one[0], coef[i])
             assert np.array_equal(batched_roots(one)[0], roots[i], equal_nan=True)
+
+
+SLOT_F = "(1 + 2*z1 - z2^2 + 0.5*z1*z2^2) / (1 - z1 + 0.3*z2^3)"
+
+
+def _count_slice_root_calls(monkeypatch) -> list[int]:
+    calls = []
+
+    def counted(coef):
+        calls.append(coef.shape[0])
+        return batched_roots(coef)
+
+    monkeypatch.setattr("starfn.slicing.batched_roots", counted)
+    return calls
+
+
+def test_a_direction_keeps_the_divisor_of_the_last_function(monkeypatch):
+    calls = _count_slice_root_calls(monkeypatch)
+    F, twin = parse_function(SLOT_F, 2), parse_function(SLOT_F, 2)
+    assert F == twin and F is not twin
+    zeta = Direction.of((1.0, 0.4 - 0.7j))
+    first = slice_divisor(F, zeta)
+    assert slice_divisor(F, zeta) is first
+    assert len(calls) == 2  # the roots of g and of h, once
+    again = slice_divisor(twin, zeta)  # equal by value, but another F
+    assert again is not first and again == first
+    assert len(calls) == 4
+    assert slice_divisor(F, zeta) is not first  # the twin took the slot
+    assert len(calls) == 6
+    other = Direction.of((1.0, 0.4 - 0.7j))
+    assert other == zeta and slice_divisor(F, other) is not slice_divisor(F, zeta)
+    assert len(calls) == 8
+    assert repr(zeta) == repr(other) and hash(zeta) == hash(other)
+
+
+def test_a_failed_divisor_build_leaves_the_slot_as_it_was(monkeypatch):
+    calls = _count_slice_root_calls(monkeypatch)
+    F, G = parse_function(SLOT_F, 2), parse_function("1 + z1 - z2", 2)
+    zeta = Direction.of((0.3, 1.0j))
+    kept = slice_divisor(F, zeta)
+    with pytest.raises(ValueError, match="dimension"):
+        slice_divisor(parse_function("1 + z3", 3), zeta)
+
+    def failing(coef):
+        raise RootFindingError("no convergence")
+
+    monkeypatch.setattr("starfn.slicing.batched_roots", failing)
+    for _ in range(2):  # raised again: the failure was not kept
+        with pytest.raises(RootFindingError):
+            slice_divisor(G, zeta)
+    assert slice_divisor(F, zeta) is kept
+    assert len(calls) == 2
+
+
+def test_single_slice_queries_on_a_kept_divisor_give_fresh_bits(monkeypatch):
+    F = parse_function(SLOT_F, 2)
+    components = (0.6 + 0.2j, -0.5 + 0.1j)
+    zeta = Direction.of(components)
+    slice_divisor(F, zeta)
+    calls = _count_slice_root_calls(monkeypatch)
+    for r in (0.5, 1.0, 2.0):
+        for a in (0, math.inf):
+            assert counting_record(F, zeta, r, a) == counting_record(F, Direction.of(components), r, a)
+        assert jensen_residual(F, zeta, r, 1024) == jensen_residual(F, Direction.of(components), r, 1024)
+        for theta in (0.3, math.pi / 2, math.pi):
+            kept = slice_star_total(F, zeta, r, theta, M=1024)
+            assert kept == slice_star_total(F, Direction.of(components), r, theta, M=1024)
+    assert len(calls) == 2 * 18  # the roots of g and h on each fresh direction

@@ -452,6 +452,37 @@ def test_star_rows_rejects_a_bad_thread_count(monkeypatch, value):
         star_rows(g, h, poles, 1.2, [0.5], 192)
 
 
+def test_star_rows_with_a_radius_per_row_gives_each_row_its_own_call(monkeypatch):
+    # 60 rows at M=4096 make three blocks of 24.  Rows 23 (the first block's
+    # last) and 27 are turned so that the gate sends them, each at its own
+    # radius, to Horner's rule; the others have radii from 0.5 to 2.  The
+    # batches have unequal degrees, a constant h and a constant g
+    M, thetas = 4096, [0.0, 0.4, math.pi / 2, 2.9, math.pi]
+    chunk = BLOCK_CELLS // M
+    rows, gated = 2 * chunk + chunk // 2, (chunk - 1, chunk + 3)
+    dirs = sample_directions(2, rows, seed=9).directions.copy()
+    radii = np.linspace(0.5, 2.0, rows)
+    for i in gated:
+        turned, radii[i] = _zero_near_node(RATIONAL, Direction(tuple(dirs[i])), M)
+        dirs[i] = turned.components
+    reciprocal = MeroFunction(POLYNOMIAL.denominator, POLYNOMIAL.numerator, 2)
+    batches = [_slice_rows(F, dirs) for F in (RATIONAL, POLYNOMIAL, reciprocal)]
+    assert [(g.shape[1], h.shape[1]) for g, h, _ in batches] == [(4, 5), (3, 1), (1, 3)]
+    g, h, _ = batches[0]
+    assert radii[gated[0]] != radii[gated[1]]
+    trig = [_trig_rows_ok(g[i : i + 1], h[i : i + 1], radii[i], M) for i in range(rows)]
+    assert not any(trig[i] for i in gated) and sum(trig) > rows // 2
+    for threads in ("1", "2"):
+        monkeypatch.setenv("STARFN_THREADS", threads)
+        for g, h, poles in batches:
+            got = star_rows(g, h, poles, radii, thetas, M)
+            big_N = big_N_rows(poles, radii)
+            for i, r in enumerate(radii.tolist()):
+                one = star_rows(g[i : i + 1], h[i : i + 1], poles[i : i + 1], r, thetas, M)
+                assert np.array_equal(got[:, i], one[:, 0])
+                assert big_N[i] == big_N_rows(poles[i : i + 1], r)[0]
+
+
 @pytest.mark.parametrize("F", [RATIONAL, EQUAL_DEGREES], ids=["unequal", "equal"])
 def test_star_rows_agrees_with_the_horner_path(F):
     # every fourth direction is turned to put a zero of its slice 1e-7
