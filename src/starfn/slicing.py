@@ -4,10 +4,10 @@ A direction zeta on the unit sphere turns F = G/H into a rational function of
 one variable with numerator g(z) = G(z*zeta) and denominator h(z) = H(z*zeta).
 This module holds the slice engine that the single-slice API and the sphere
 averages share.  Its primitives work on a batch of directions, one row each:
-substitution (``slice_coefficients``), roots (``batched_roots``), circle
-evaluation (``horner_rows``, ``circle_log_values``), the indeterminacy rule
-(``root_separation``) and the counting functions (``big_N_rows``,
-``small_n_rows``)
+substitution (``slice_coefficients``), roots (``batched_roots``) and their
+inclusion discs (``inclusion_radii``), circle evaluation (``horner_rows``,
+``circle_log_values``), the indeterminacy rule (``root_separation``) and the
+counting functions (``big_N_rows``, ``small_n_rows``)
 
     n(t, a)  —  number of a-points with |z| <= t, with multiplicity,
     N(r, a)  =  integral of n(t,a)/t from 0 to r
@@ -54,11 +54,6 @@ __all__ = [
     "indeterminacy_test",
 ]
 
-#: the largest multiplicity clustering recognizes.  The m-fold merge radius
-#: 8*eps^(1/m) per unit of 1 + |root| is about 1e-3 at m = 4 but 0.09 at
-#: m = 8, where the 8 distinct roots of (1-z)^8 - 1e-8, 0.077 apart on a
-#: circle of radius 0.1, would merge into one 8-fold root
-MAX_MULTIPLICITY = 4
 #: a slice is indeterminate when a clustered g-root and a clustered h-root lie
 #: within this distance: single-slice queries cancel the pair, sphere averages
 #: skip the direction
@@ -226,92 +221,93 @@ def small_n_rows(logroots: np.ndarray, t: float) -> np.ndarray:
     return (logroots <= math.log(t)).sum(axis=1).astype(float)
 
 
-def _fold_scale(m: int) -> float:
-    """Radius of an m-fold root's scatter, per unit of 1 + |root|."""
-    return 8.0 * _EPS ** (1.0 / m)
+def inclusion_radii(coef: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Radius of each raw root's Weierstrass inclusion disc, NaN-padded like
+    the roots that batched_roots found for the rows of coef.
 
-
-def _fold_reach(m: int) -> float:
-    """Each member z of an m-fold cluster with s = _fold_scale(m) lies within
-    s*(1+|c|) <= s*(1+|z|)/(1-s) of the centroid c, so its m-1 others lie
-    within this reach times 1 + |z|; it grows with m."""
-    s = _fold_scale(m)
-    return 2.0 * s / (1.0 - s)
-
-
-def _cluster(row: np.ndarray, may_merge: bool) -> list[tuple[complex, int]]:
-    """Merge one NaN-padded row of raw roots into (location, multiplicity)
-    clusters; may_merge is the row's _may_merge verdict, and without it
-    every raw root is a cluster of its own.
-
-    An m-fold root computed in double precision splits into m raw roots
-    about eps^(1/m) apart (~1e-8 for a double root, ~6e-6 for a triple one),
-    so m raw roots are taken for one m-fold root at their centroid c when
-    all of them lie within _fold_scale(m)*(1+|c|) of c.  Larger m are tried
-    first, each remaining root with its m-1 nearest remaining neighbours.
+    For a row of degree d with coefficients a_k and raw roots z_i it is
+    d*(|p(z_i)| + 4*d*eps*sum_k |a_k||z_i|^k) / |a_d * prod_{j != i}(z_i - z_j)|,
+    where the sum bounds the rounding of the coefficients and of p(z_i).
+    The discs hold every root of the row, and a connected component of m
+    overlapping discs holds exactly m of them (Bini & Fiorentino, Numer.
+    Algorithms 23 (2000)), so the components are the row's multiple roots.
+    It works on the transposed roots, so that numpy loops run along rows.
     """
-    left = [complex(z) for z in row[~np.isnan(row)]]
-    clusters: list[tuple[complex, int]] = []
-    if may_merge:
-        for m in range(min(len(left), MAX_MULTIPLICITY), 1, -1):
-            i = 0
-            while i < len(left) and len(left) >= m:
-                near = sorted(range(len(left)), key=lambda k: abs(left[k] - left[i]))[:m]
-                c = sum(left[k] for k in near) / m
-                if all(abs(left[k] - c) <= _fold_scale(m) * (1.0 + abs(c)) for k in near):
-                    clusters.append((c, m))
-                    left = [z for k, z in enumerate(left) if k not in near]
-                else:
-                    i += 1
-    clusters += [(z, 1) for z in left]
+    z = roots.T.copy()
+    valid = ~np.isnan(z)
+    degree = valid.sum(axis=0)
+    z[~valid] = 0
+    a = np.where(np.arange(coef.shape[1])[:, None] <= degree, coef.T, 0)
+    abs_a = np.abs(a)
+    modulus = np.abs(z)
+    value = np.zeros_like(z)
+    scale = np.zeros_like(modulus)
+    for k in range(a.shape[0] - 1, -1, -1):
+        value = value * z + a[k]
+        scale = scale * modulus + abs_a[k]
+    prod = np.ones_like(z)
+    for j in range(z.shape[0]):
+        diff = z - z[j]
+        diff[j] = 1
+        prod = prod * np.where(valid[j], diff, 1)
+    lead = coef[np.arange(coef.shape[0]), degree]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radii = degree * (np.abs(value) + 4.0 * degree * _EPS * scale) / np.abs(lead * prod)
+    return np.where(valid, radii, np.nan).T
+
+
+def _meeting(coef: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """(rows, D, D): whether the inclusion discs of raw roots i and j of a
+    row overlap; a disc does not meet itself, and NaN padding meets none."""
+    count, width = roots.shape
+    meet = np.empty((width, width, count), dtype=bool)
+    block = 1024  # rows per block: the inclusion radii's temporaries stay small
+    for lo in range(0, count, block):
+        rows = slice(lo, lo + block)
+        z, radii = roots[rows].T, inclusion_radii(coef[rows], roots[rows]).T
+        for j in range(width):
+            meet[j, :, rows] = np.abs(z - z[j]) <= radii + radii[j]
+            meet[j, j, rows] = False
+    return np.moveaxis(meet, 2, 0)
+
+
+def _clusters(row: np.ndarray, meet: np.ndarray) -> list[tuple[complex, int]]:
+    """One NaN-padded row of raw roots as (location, multiplicity) clusters:
+    the connected components of its overlapping inclusion discs (meet is
+    the row's _meeting matrix), each at the centroid of its raw roots."""
+    reach = meet | np.eye(row.size, dtype=bool)
+    for _ in range(row.size.bit_length()):
+        reach = reach @ reach
+    done = np.isnan(row)
+    clusters = []
+    for k in range(row.size):
+        if not done[k]:
+            done |= reach[k]
+            members = row[reach[k]].tolist()
+            clusters.append((sum(members) / len(members), len(members)))
     clusters.sort(key=lambda zm: (abs(zm[0]), zm[0].real, zm[0].imag))
     return clusters
 
 
-@lru_cache(maxsize=16)
-def _pairs(width: int) -> np.ndarray:
-    """Column indices (i, j) of every pair i < j, read-only and cached."""
-    pairs = np.array(np.triu_indices(width, 1))
-    pairs.setflags(write=False)
-    return pairs
-
-
-def _may_merge(roots: np.ndarray) -> np.ndarray:
-    """Rows in which _cluster could merge roots.  Two members a, b of an
-    m-fold cluster lie within _fold_reach(m)*(1 + max(|a|, |b|)) of each
-    other, and the reach grows with m, so a row without such a pair at the
-    largest m keeps its raw roots."""
-    count, width = roots.shape
-    i, j = _pairs(width)
-    reach = _fold_reach(MAX_MULTIPLICITY)
-    close = np.zeros(count, dtype=bool)
-    block = 1024  # rows per block: the pairwise distances stay small
-    for lo in range(0, count, block):
-        rows = roots[lo : lo + block]
-        mod = np.abs(rows)
-        limit = reach * (1.0 + np.maximum(mod[:, i], mod[:, j]))
-        # NaN padding is never within reach
-        close[lo : lo + block] = (np.abs(rows[:, i] - rows[:, j]) <= limit).any(axis=1)
-    return close
-
-
-def root_separation(g_roots: np.ndarray, h_roots: np.ndarray) -> np.ndarray:
+def root_separation(
+    g_coef: np.ndarray, g_roots: np.ndarray, h_coef: np.ndarray, h_roots: np.ndarray
+) -> np.ndarray:
     """Per row, the least distance between a clustered g-root and h-root.
 
-    Rows hold NaN-padded raw roots as batched_roots returns them; +inf where
-    either side has none.  A row whose raw roots _cluster would leave alone
-    is measured on the raw roots, which are then its clusters; only the
-    rows where a merge is possible are clustered, one by one.
+    Rows hold coefficients and their NaN-padded raw roots; +inf where either
+    side has none.  A row where no two inclusion discs of g, nor two of h,
+    overlap is measured on its raw roots, which are then its clusters; the
+    other rows are clustered one by one.
     """
     count = g_roots.shape[0]
+    g_meet, h_meet = _meeting(g_coef, g_roots), _meeting(h_coef, h_roots)
     sep = np.full(count, np.inf)
     if g_roots.shape[1] and h_roots.shape[1]:
         dist = np.abs(g_roots[:, :, None] - h_roots[:, None, :]).reshape(count, -1)
         sep = np.where(np.isnan(dist), np.inf, dist).min(axis=1)
-    g_may, h_may = _may_merge(g_roots), _may_merge(h_roots)
-    for i in np.nonzero(g_may | h_may)[0]:
-        gc = _cluster(g_roots[i], g_may[i])
-        hc = _cluster(h_roots[i], h_may[i])
+    for i in np.nonzero(g_meet.any(axis=(1, 2)) | h_meet.any(axis=(1, 2)))[0]:
+        gc = _clusters(g_roots[i], g_meet[i])
+        hc = _clusters(h_roots[i], h_meet[i])
         sep[i] = min((abs(zg - zh) for zg, _ in gc for zh, _ in hc), default=math.inf)
     return sep
 
@@ -445,13 +441,13 @@ def make_slice(F: MeroFunction, zeta: Direction) -> SlicePair:
 
 
 def roots_in_disk(u: UniPoly, t: float) -> RootSet:
-    """All roots of u with |z| <= t, multiplicities by clustering."""
+    """All roots of u with |z| <= t, clustered by their inclusion discs."""
     if u.is_zero:
         raise ValueError("roots of the zero polynomial are undefined")
     if t < 0:
         raise ValueError("disk radius must be nonnegative")
     raw = batched_roots(u.row)
-    clusters = [(z, m) for z, m in _cluster(raw[0], _may_merge(raw)[0]) if abs(z) <= t]
+    clusters = [(z, m) for z, m in _clusters(raw[0], _meeting(u.row, raw)[0]) if abs(z) <= t]
     if not clusters:
         return RootSet(roots=(), residual_bound=0.0)
     residual = np.abs(u(np.array([z for z, _ in clusters]))).max()
@@ -554,5 +550,6 @@ def indeterminacy_test(F: MeroFunction, zeta: Direction) -> tuple[bool, float]:
     The sphere averages skip exactly the directions this flags.
     """
     pair = make_slice(F, zeta)
-    sep = float(root_separation(batched_roots(pair.g.row), batched_roots(pair.h.row))[0])
+    g, h = pair.g.row, pair.h.row
+    sep = float(root_separation(g, batched_roots(g), h, batched_roots(h))[0])
     return sep <= INDETERMINACY_TOL, sep

@@ -63,6 +63,9 @@ __all__ = [
     "subharmonicity_report",
 ]
 
+#: the quadrature slack in subharmonicity_report's allowance for a point
+QUAD_SLACK = 1e-4
+
 
 class AllDirectionsSkippedError(RuntimeError):
     """Every sampled direction was near-indeterminate; no estimate possible."""
@@ -145,7 +148,7 @@ class DirectionSample:
         h_coef = slice_coefficients(F.denominator, self.directions)
         g_roots = batched_roots(g_coef)
         h_roots = batched_roots(h_coef)
-        keep = root_separation(g_roots, h_roots) > INDETERMINACY_TOL
+        keep = root_separation(g_coef, g_roots, h_coef, h_roots) > INDETERMINACY_TOL
         if not keep.any():
             raise AllDirectionsSkippedError(
                 "all sampled directions were near-indeterminate (tol %.1e)" % INDETERMINACY_TOL
@@ -455,12 +458,11 @@ def subharmonicity_report(
     M: int = 1024,
     rho: float | None = None,
     circle_nodes: int = 8,
-    tol_quad: float = 1e-4,
 ) -> list[Violation]:
     """Interior points where the circle mean of T* undercuts the center.
 
     A subharmonic function satisfies mean >= center; a point is flagged when
-    mean - center < -(3*stderr + tol_quad), i.e. beyond the Monte Carlo noise
+    mean - center < -(3*stderr + QUAD_SLACK), i.e. beyond the Monte Carlo noise
     allowance plus the quadrature slack.
     """
     stats = subharmonicity_stats(
@@ -468,7 +470,7 @@ def subharmonicity_report(
     )
     violations = []
     for st in stats:
-        threshold = -(3.0 * st.stderr + tol_quad)
+        threshold = -(3.0 * st.stderr + QUAD_SLACK)
         if st.mean_diff < threshold:
             violations.append(Violation(**asdict(st), threshold=threshold))
     return violations

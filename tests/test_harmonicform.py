@@ -185,7 +185,7 @@ def test_detect_rational_form_via_pade():
     assert verify_harmonic_form(F, rep.form) <= 1e-10
 
 
-@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("m", [3, 4, 5])
 @pytest.mark.parametrize(
     "template",
     ["(1 + 0.5*z1 + 0.25*z2)^{m}", "1 / (1 - 0.5*z1 - 0.25*z2)^{m}"],

@@ -15,9 +15,11 @@ from starfn.slicing import (
     counting_big_N,
     counting_record,
     counting_small_n,
+    inclusion_radii,
     indeterminacy_test,
     jensen_residual,
     make_slice,
+    root_separation,
     roots_in_disk,
     slice_coefficients,
     slice_divisor,
@@ -99,12 +101,24 @@ def test_roots_in_disk_constant_and_double_root():
 
 
 def test_roots_in_disk_triple_and_quadruple_root():
-    # an m-fold root splits by about eps^(1/m): ~1e-5 for m = 3, ~1e-4 for m = 4
-    for m, coeffs in ((3, (1, 1.5, 0.75, 0.125)), (4, (1, 2, 1.5, 0.5, 0.0625))):
+    # an m-fold root splits by about eps^(1/m): ~1e-5 for m = 3, ~1e-4 for
+    # m = 4 and ~0.01 for m = 8, as (1 + z/2)^m shows
+    powers = [(m, tuple(math.comb(m, k) / 2**k for k in range(m + 1))) for m in range(5, 9)]
+    for m, coeffs in ((3, (1, 1.5, 0.75, 0.125)), (4, (1, 2, 1.5, 0.5, 0.0625)), *powers):
         rs = roots_in_disk(UniPoly(coeffs), 3.0)
         assert len(rs.roots) == 1
         z, mult = rs.roots[0]
         assert mult == m and z == pytest.approx(-2.0, abs=1e-6)
+
+
+def test_roots_in_disk_ill_conditioned_double_root_beside_a_simple_one():
+    # (1-z)^2 (1-z/1.001): the double root at 1 splits by ~2.3e-6, far more
+    # than a double root alone would, because the simple root is 1e-3 away
+    coeffs = np.polynomial.polynomial.polymul((1, -2, 1), (1, -1 / 1.001))
+    rs = roots_in_disk(UniPoly(tuple(coeffs)), math.inf)
+    assert [m for _, m in rs.roots] == [2, 1]
+    assert abs(rs.roots[0][0] - 1.0) <= 1e-8
+    assert abs(rs.roots[1][0] - 1.001) <= 1e-8
 
 
 def test_roots_in_disk_keeps_a_tight_ring_of_distinct_roots():
@@ -305,13 +319,21 @@ def test_batch_of_one_gives_the_bits_of_its_row_in_a_batch():
     )
     dirs = rng.normal(size=(257, 2)) + 1j * rng.normal(size=(257, 2))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    batch = []
     for p in (f.numerator, f.denominator):
         coef = slice_coefficients(p, dirs)
         roots = batched_roots(coef)
+        radii = inclusion_radii(coef, roots)
+        batch += [coef, roots]
         for i in range(0, 257, 16):
             one = slice_coefficients(p, dirs[i : i + 1])
             assert np.array_equal(one[0], coef[i])
             assert np.array_equal(batched_roots(one)[0], roots[i], equal_nan=True)
+            assert np.array_equal(inclusion_radii(one, batched_roots(one))[0], radii[i])
+    sep = root_separation(*batch)
+    for i in range(0, 257, 16):
+        one = [a[i : i + 1] for a in batch]
+        assert np.array_equal(root_separation(*one), sep[i : i + 1])
 
 
 SLOT_F = "(1 + 2*z1 - z2^2 + 0.5*z1*z2^2) / (1 - z1 + 0.3*z2^3)"

@@ -279,21 +279,23 @@ def test_sphere_skips_exactly_the_directions_indeterminacy_test_flags():
 
 
 def test_common_cube_factor_is_indeterminate_everywhere():
-    # A triple root splits into three raw roots about 1e-5 apart; clustered
-    # as one root of multiplicity 3, it cancels against the denominator's.
-    F = parse_function("(1-z1)^3*(1+z2) / ((1-z1)^3*(1-z2))", 2)
+    # A triple root splits into three raw roots about 1e-5 apart, a 5-fold
+    # one into five ~1e-3 apart; clustered as one root of that multiplicity,
+    # it cancels against the denominator's.
     reduced = parse_function("(1+z2) / (1-z2)", 2)
     sample = sample_directions(2, 200, seed=3)
-    assert all(indeterminacy_test(F, Direction(tuple(d)))[0] for d in sample.directions)
-    with pytest.raises(AllDirectionsSkippedError):
-        counting_several(F, 2.0, math.inf, sample)
-    for d in sample.directions[:20]:
-        zeta = Direction(tuple(d))
-        for a in (0, math.inf):
-            got = counting_record(F, zeta, 2.0, a)
-            want = counting_record(reduced, zeta, 2.0, a)
-            assert got.small_n == want.small_n
-            assert abs(got.big_N - want.big_N) <= 1e-9
+    for m in (3, 5):
+        F = parse_function(f"(1-z1)^{m}*(1+z2) / ((1-z1)^{m}*(1-z2))", 2)
+        assert all(indeterminacy_test(F, Direction(tuple(d)))[0] for d in sample.directions)
+        with pytest.raises(AllDirectionsSkippedError):
+            counting_several(F, 2.0, math.inf, sample)
+        for d in sample.directions[:20]:
+            zeta = Direction(tuple(d))
+            for a in (0, math.inf):
+                got = counting_record(F, zeta, 2.0, a)
+                want = counting_record(reduced, zeta, 2.0, a)
+                assert got.small_n == want.small_n
+                assert abs(got.big_N - want.big_N) <= 1e-9
 
 
 def test_ring_of_zeros_around_a_pole_is_not_indeterminate():
