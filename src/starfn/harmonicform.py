@@ -16,8 +16,10 @@ and d_k = f^{(k)}(0) e^{-ik theta_hat} is real.  In several variables the
 star-function average is harmonic (not merely subharmonic) exactly when
 F(Z) = P(Z . eta) for such a P; this module detects and verifies that form:
 the homogeneous parts of the series of F must satisfy P_k = c_k P_1^k with
-real c_k, and the reconstructed one-variable P must have its zeros on one
-ray and poles on the opposite ray.
+real c_k, and P must have its zeros on one ray and poles on the opposite
+ray.  P needs no reconstruction: with e_J the coordinate axis on which
+|eta_J| is largest and q = eta_J, Z = (u/q) e_J has Z . eta = u, so
+P(u) = F((u/q) e_J) is F's own slice along e_J, scaled by q.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .funcdef import MeroFunction, MultiPoly, homogeneous_parts
-from .slicing import Direction, UniPoly, horner_rows, roots_in_disk, slice_coefficients, slice_divisor
+from .slicing import Direction, horner_rows, make_slice, slice_coefficients, slice_divisor
 from .sphere import mean_value_differences
 from .starcore import star_rows
 
@@ -58,8 +60,8 @@ RAY_TOL = 1e-6
 HARMONIC_TOL = 1e-3
 #: verify_harmonic_form redraws a point unless |H(Z)| is at least this
 #: fraction of sum_alpha |h_alpha| |Z^alpha|, the scale of H's rounding
-#: error.  For F = 1/(1-3 z1)^12 at radius 0.5, whose P ``_pade_split``
-#: fits exactly, this fraction keeps the residual within 2.4e-15 (seeds 0-3)
+#: error.  For F = 1/(1-3 z1)^12 at radius 0.5, whose P is F's slice along
+#: e_1, this fraction keeps the residual within 1.9e-15 (seeds 0-3)
 POLE_SCREEN = 0.03
 
 
@@ -103,7 +105,11 @@ class TaylorCoeffs:
 
 @dataclass(frozen=True)
 class HarmonicForm:
-    """F(Z) = P(Z . eta) with P(u) = sum_k profile[k] u^k (c0 = c1 = 1)."""
+    """F(Z) = P(Z . eta) with P(u) = sum_k profile[k] u^k (c0 = c1 = 1).
+
+    The profile is P's Taylor series up to degree deg G + deg H;
+    ``verify_harmonic_form`` reads P off F itself and uses eta alone.
+    """
 
     eta: tuple[complex, ...]
     profile: tuple[complex, ...]
@@ -200,44 +206,14 @@ def _coeff_norm(p: MultiPoly) -> float:
     return max((abs(c) for c in p.terms.values()), default=0.0)
 
 
-def _trimmed(coeffs: Sequence[complex]) -> np.ndarray:
-    arr = np.asarray(coeffs, dtype=complex)
-    scale = np.abs(arr).max()
-    keep = len(arr)
-    while keep > 1 and abs(arr[keep - 1]) <= 1e-10 * scale:
-        keep -= 1
-    return arr[:keep]
-
-
-def _pade_split(profile: Sequence[complex], num_deg: int, den_deg: int):
-    """Split a series into numerator/denominator of the given degrees."""
-    c = list(profile) + [0j] * (num_deg + den_deg + 1 - len(profile))
-    if den_deg == 0:
-        return _trimmed(c[: num_deg + 1]), np.array([1 + 0j])
-    A = np.empty((den_deg, den_deg), dtype=complex)
-    rhs = np.empty(den_deg, dtype=complex)
-    for i in range(den_deg):
-        m = num_deg + 1 + i
-        rhs[i] = -c[m]
-        for j in range(1, den_deg + 1):
-            A[i, j - 1] = c[m - j] if m - j >= 0 else 0j
-    if num_deg == 0 and c[0] != 0:
-        # A is lower-triangular Toeplitz with c[0] on its diagonal.  Forward
-        # substitution gives 1/(1-u)^12's binomials exactly, where pivoted LU
-        # puts the top coefficient off by 1.5e-7, relative
-        b_tail = np.empty(den_deg, dtype=complex)
-        for i in range(den_deg):
-            b_tail[i] = (rhs[i] - sum(A[i, j] * b_tail[j] for j in range(i))) / A[i, i]
-    else:
-        try:
-            b_tail = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            b_tail = np.linalg.lstsq(A, rhs, rcond=None)[0]
-    den = np.concatenate(([1 + 0j], b_tail))
-    num = np.array(
-        [sum(den[j] * c[m - j] for j in range(min(m, den_deg) + 1)) for m in range(num_deg + 1)]
-    )
-    return _trimmed(num), _trimmed(den)
+def _probe(eta: Sequence[complex]) -> tuple[complex, Direction] | None:
+    """(q, e_J) for the coordinate axis e_J on which |eta_J| is largest, with
+    q = eta_J: Z = (u/q) e_J has Z . eta = u, so P(u) = F((u/q) e_J).  None
+    for eta = 0, the trivial form P == 1."""
+    if not any(eta):
+        return None
+    J = max(range(len(eta)), key=lambda j: abs(eta[j]))
+    return eta[J], Direction(tuple(complex(i == J) for i in range(len(eta))))
 
 
 def _wrap_angle(a: float) -> float:
@@ -281,8 +257,10 @@ def detect_harmonic_form(F: MeroFunction, tol: float = REAL_TOL) -> DetectionRep
 
         |Im c_k| <= tol  and  ||P_k - c_k P_1^k||_inf <= tol ||P_k||_inf,
 
-    plus the ray geometry of the P reconstructed from (c_k) — the coefficient
-    law alone cannot reject zeros spread over a full line.
+    plus the ray geometry of P — the coefficient law alone cannot reject
+    zeros spread over a full line.  P's zeros and poles are those of F's
+    slice along the probe axis, clustered and cancelled in pairs by
+    ``slice_divisor``, scaled by q.
     """
     n = F.n
     K = F.numerator.degree() + F.denominator.degree()
@@ -295,15 +273,14 @@ def detect_harmonic_form(F: MeroFunction, tol: float = REAL_TOL) -> DetectionRep
         eta = tuple(
             parts[1].coefficient(tuple(int(i == j) for i in range(n))) for j in range(n)
         )
-    if all(e == 0 for e in eta):
+    probe = _probe(eta)
+    if probe is None:
         if F.numerator == F.denominator:
             form = HarmonicForm(eta=(0j,) * n, profile=(1 + 0j,), residual=0.0)
             return DetectionReport(True, form, (), None)
         return DetectionReport(False, None, (), None)
 
-    J = max(range(n), key=lambda j: abs(eta[j]))
-    probe = tuple(1 + 0j if i == J else 0j for i in range(n))
-    q = eta[J]
+    q, axis = probe
     P1 = parts[1]
 
     profile: list[complex] = [1 + 0j]
@@ -313,7 +290,7 @@ def detect_harmonic_form(F: MeroFunction, tol: float = REAL_TOL) -> DetectionRep
     for k in range(1, K + 1):
         p1_power = p1_power * P1
         norm_k = _coeff_norm(parts[k])
-        c_k = parts[k].eval(probe) / q**k if norm_k else 0j
+        c_k = parts[k].eval(axis.components) / q**k if norm_k else 0j
         if abs(c_k.imag) > tol:
             coeff_ok = False
         diff_norm = _coeff_norm(parts[k] - p1_power.scale(c_k))
@@ -322,11 +299,10 @@ def detect_harmonic_form(F: MeroFunction, tol: float = REAL_TOL) -> DetectionRep
             coeff_ok = False
         profile.append(c_k)
 
-    num, den = _pade_split(profile, F.numerator.degree(), F.denominator.degree())
-    # clustered, so that a multiple zero or pole is one point on its ray
-    zeros = [z for z, _ in roots_in_disk(UniPoly(tuple(num)), math.inf).roots]
-    pole_pts = [z for z, _ in roots_in_disk(UniPoly(tuple(den)), math.inf).roots]
-    theta_hat, aligned, max_dev = ray_alignment(zeros, pole_pts)
+    div = slice_divisor(F, axis)
+    theta_hat, aligned, max_dev = ray_alignment(
+        [q * z for z, _ in div.zeros], [q * w for w, _ in div.poles]
+    )
     ray = (theta_hat if theta_hat is not None else 0.0, max_dev)
 
     detected = coeff_ok and aligned
@@ -347,13 +323,14 @@ def verify_harmonic_form(
 ) -> float:
     """Max of |F(Z) - P(Z.eta)| / (1 + |F(Z)|) over random polydisk points.
 
-    P is the rational function num/den that ``detect_harmonic_form`` splits
-    from the profile (den = 1 when F is a polynomial).  Points where |H| is
-    below POLE_SCREEN times its rounding scale, near the poles of F, are
-    resampled with a bounded retry budget; a polynomial F has no poles, and
-    its points are not screened.
+    P(u) = g(u/q)/h(u/q), with g/h F's slice along the probe axis e_J and
+    q = eta_J (P == 1 for eta = 0), so this tests exactly whether F is a
+    function of Z . eta.  It reads eta and ignores ``form.profile``, which is
+    F's Taylor data on that axis, and so cannot tell eta from a nonzero
+    multiple of it.  Points where |H| is below POLE_SCREEN times its rounding
+    scale, near the poles of F, are resampled with a bounded retry budget; a
+    polynomial F has no poles, and its points are not screened.
     """
-    num, den = _pade_split(form.profile, F.numerator.degree(), F.denominator.degree())
     rng = np.random.default_rng(seed)
     n = F.n
 
@@ -383,8 +360,14 @@ def verify_harmonic_form(
     else:  # H = H(0) = 1, which the screen cannot reject
         Z, H = draw(trials), 1.0
     f = slice_coefficients(F.numerator, Z).sum(axis=1) / H
-    u = (Z * np.asarray(form.eta, dtype=complex)).sum(axis=1)
-    p = horner_rows(num[None, :], u)[0] / horner_rows(den[None, :], u)[0]
+    probe = _probe(form.eta)
+    if probe is None:
+        p = 1.0
+    else:
+        q, axis = probe
+        pair = make_slice(F, axis)
+        w = (Z * np.asarray(form.eta, dtype=complex)).sum(axis=1) / q
+        p = horner_rows(pair.g.row, w)[0] / horner_rows(pair.h.row, w)[0]
     return float((np.abs(f - p) / (1.0 + np.abs(f))).max(initial=0.0))
 
 

@@ -8,7 +8,6 @@ import pytest
 from starfn.funcdef import MeroFunction, MultiPoly, linear_form, parse_function
 from starfn import harmonicform
 from starfn.harmonicform import (
-    _pade_split,
     CanonicalProduct,
     DetectionReport,
     HarmonicForm,
@@ -181,15 +180,24 @@ def test_detect_rational_form_via_pade():
     assert rep.detected
     assert abs(rep.form.profile[2] - 0.4) <= 1e-9
     assert rep.ray[1] <= 1e-9
-    # P is the rational num/den split from the profile, not its truncated series
+    # P is F's slice along the probe axis, not the profile's truncated series
     assert verify_harmonic_form(F, rep.form) <= 1e-10
 
 
-@pytest.mark.parametrize("m", [3, 4, 5])
+MULTIPLE_ON_RAY = {
+    "zero": ("(1 + 0.5*z1 + 0.25*z2)^{m}", [3, 4, 5, 10, 11]),
+    "pole": ("1 / (1 - 0.5*z1 - 0.25*z2)^{m}", [3, 4, 5, 6, 7, 9, 10, 11]),
+    "axis-pole": ("1 / (1 - 3*z1)^{m}", [12]),
+}
+
+
 @pytest.mark.parametrize(
-    "template",
-    ["(1 + 0.5*z1 + 0.25*z2)^{m}", "1 / (1 - 0.5*z1 - 0.25*z2)^{m}"],
-    ids=["zero", "pole"],
+    "template, m",
+    [
+        pytest.param(template, m, id=f"{kind}-{m}")
+        for kind, (template, orders) in MULTIPLE_ON_RAY.items()
+        for m in orders
+    ],
 )
 def test_detect_multiple_zero_or_pole_on_its_ray(template, m):
     # unclustered, an m-fold root splits into m raw roots ~eps^(1/m) apart,
@@ -197,6 +205,17 @@ def test_detect_multiple_zero_or_pole_on_its_ray(template, m):
     F = parse_function(template.format(m=m), 2)
     rep = detect_harmonic_form(F)
     assert rep.detected
+    assert rep.ray[1] <= 1e-9
+    assert verify_harmonic_form(F, rep.form) <= 1e-10
+
+
+def test_detect_form_with_a_common_factor():
+    # (1 + 2u)/(1 - u) for u = z1 + 2 z2, times the factor 1 + z1 + z2 over
+    # itself, whose roots the probe slice cancels in a pair
+    F = parse_function("(1 + z1 + z2)*(1 + 2*z1 + 4*z2) / ((1 + z1 + z2)*(1 - z1 - 2*z2))", 2)
+    rep = detect_harmonic_form(F)
+    assert rep.detected
+    assert rep.form.eta == (3 + 0j, 6 + 0j)
     assert rep.ray[1] <= 1e-9
     assert verify_harmonic_form(F, rep.form) <= 1e-10
 
@@ -255,6 +274,10 @@ def test_verify_harmonic_form_bounds():
     F_bumped = MeroFunction.from_polys(bumped, MultiPoly.constant(2, 1))
     assert verify_harmonic_form(F_bumped, rep.form, trials=200, seed=4) >= 1e-4
 
+    # verify reads eta alone: F_HARMONIC is no function of 2 z1 + z2
+    rotated = HarmonicForm(eta=(2 + 0j, 1 + 0j), profile=rep.form.profile, residual=0.0)
+    assert verify_harmonic_form(F_HARMONIC, rotated, trials=200, seed=4) >= 1e-4
+
 
 def test_verify_harmonic_form_near_a_pole_of_high_order():
     # the expanded (1 - 3 z1)^12 cancels to rounding noise near its pole,
@@ -285,15 +308,6 @@ def test_verify_harmonic_form_screens_only_an_f_with_poles(monkeypatch):
     calls.clear()
     assert verify_harmonic_form(F, detect_harmonic_form(F).form) <= 1e-10
     assert len(calls) == 3
-
-
-def test_pade_split_of_a_pole_of_high_order_is_exact():
-    # with a constant numerator the system is lower-triangular Toeplitz, and
-    # the denominator of 1/(1-u)^12 comes out as its binomials, bit for bit
-    profile = [complex(math.comb(k + 11, 11)) for k in range(13)]
-    num, den = _pade_split(profile, 0, 12)
-    assert np.array_equal(num, [1])
-    assert np.array_equal(den, [(-1) ** k * math.comb(12, k) for k in range(13)])
 
 
 def test_harmonic_form_type_invariants():
