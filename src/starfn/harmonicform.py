@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb, factorial
 from typing import Sequence
 
@@ -34,8 +35,8 @@ import numpy as np
 
 from .funcdef import MeroFunction, MultiPoly, homogeneous_parts
 from .slicing import Direction, horner_rows, make_slice, slice_coefficients, slice_divisor
-from .sphere import mean_value_differences
-from .starcore import star_rows
+from .sphere import check_stencil, mean_value_differences
+from .starcore import check_circle, star_rows
 
 __all__ = [
     "HARMONIC_TOL",
@@ -190,16 +191,26 @@ def product_taylor_coeffs(cp: CanonicalProduct, K: int) -> TaylorCoeffs:
 
 
 def _series_inverse(H: MultiPoly, K: int) -> MultiPoly:
-    """Power series of 1/H modulo total degree K (requires H(0) = 1)."""
-    Q = MultiPoly.constant(H.n, 1) - H  # valuation >= 1
-    acc = MultiPoly.constant(H.n, 1)
-    power = MultiPoly.constant(H.n, 1)
-    for _ in range(K):
-        power = (power * Q).truncated(K)
-        if power.is_zero:
-            break
-        acc = acc + power
-    return acc
+    """Power series of 1/H modulo total degree K (requires H(0) = 1).
+
+    Solves H*S = 1 degree by degree on the homogeneous parts: S_0 = 1 and
+    S_k = -sum_{j=1..k} H_j S_{k-j}, over H's nonzero parts only.  Unlike the
+    powers of 1 - H, whose terms cancel heavily when H is a high power, each
+    part is a short sum of products of parts already found.
+    """
+    one = MultiPoly.constant(H.n, 1)
+    if not H.degree():
+        return one
+    H_parts = [(j, p) for j, p in enumerate(homogeneous_parts(H, K).parts) if j and not p.is_zero]
+    S = [one]
+    for k in range(1, K + 1):
+        acc = MultiPoly.zero(H.n)
+        for j, part in H_parts:
+            if j > k:
+                break
+            acc = acc + part * S[k - j]
+        S.append(-acc)
+    return MultiPoly(H.n, {e: c for part in S for e, c in part.terms.items()})
 
 
 def _coeff_norm(p: MultiPoly) -> float:
@@ -386,25 +397,28 @@ def slice_harmonicity_test(
     True iff |circle mean - center| <= tol at every interior grid point.
     The subharmonic inequality always holds; equality at every point is the
     signature of a harmonic slice.  This is ``subharmonicity_stats``, stencil
-    and T* kernel, on the one direction zeta: the poles are found once, and
-    all rings are one ``star_rows`` call, with the slice once per ring radius
-    as its rows and the distinct thetas of all rings as its columns.  A
-    row's T* at a theta depends on that row and theta alone, so each ring
-    reads the bits of a call of its own.
+    and T* kernel, on the one direction zeta: the grid and M are checked
+    first, the poles are found once, and all rings are one ``star_rows``
+    call, with the slice once per ring radius as its rows and the distinct
+    thetas of all rings as its columns, read back in one gather.  A row's T*
+    at a theta depends on that row and theta alone, so each ring reads the
+    bits of a call of its own.
     """
+    rho = check_stencil(r_values, theta_values, rho, circle_nodes)
+    check_circle((), M)
     div = slice_divisor(F, zeta)
     slice_rows = (div.pair.g.row, div.pair.h.row, div.logroots(math.inf))
 
-    def totals(rings: list[tuple[float, list[float]]]) -> list[np.ndarray]:
+    def totals(rings: list[tuple[float, Sequence[float]]]) -> list[np.ndarray]:
         distinct = dict.fromkeys(theta for _, thetas in rings for theta in thetas)
         columns = {theta: col for col, theta in enumerate(distinct)}
         stacked = [np.repeat(a, len(rings), axis=0) for a in slice_rows]
         radii = np.array([radius for radius, _ in rings])
         values = star_rows(*stacked, radii, list(columns), M)
-        return [
-            values[[columns[theta] for theta in thetas], i : i + 1]
-            for i, (_, thetas) in enumerate(rings)
-        ]
+        sizes = [len(thetas) for _, thetas in rings]
+        cols = [columns[theta] for _, thetas in rings for theta in thetas]
+        flat = values[cols, np.repeat(np.arange(len(rings)), sizes)][:, None]
+        return [flat[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
 
     diffs = mean_value_differences(r_values, theta_values, rho, circle_nodes, totals)
     return bool(np.all(np.abs(diffs) <= tol))

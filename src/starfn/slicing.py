@@ -18,8 +18,11 @@ common roots (a shared root is a removable factor of the slice, not an
 a-point); the sphere averages skip such directions instead.  A
 ``Direction`` keeps the divisor of the last F it served, as a
 ``DirectionSample`` keeps its slice batch, so the single-slice queries find
-a slice's roots once.  The Jensen residual is a global consistency check:
-N(r,0) - N(r,inf) equals the circle mean of log|F(r e^{ix} zeta)|.
+a slice's roots once.  It also keeps the circle values of the last
+(F, r, M) (``circle_values``), so ``jensen_residual``, ``circle_log_samples``
+and ``slice_star_total`` evaluate a circle once.  The Jensen residual is a
+global consistency check: N(r,0) - N(r,inf) equals the circle mean of
+log|F(r e^{ix} zeta)|.
 """
 
 from __future__ import annotations
@@ -80,12 +83,16 @@ class CircleProximityError(ValueError):
 class Direction:
     """A point zeta on the unit sphere of C^n.
 
-    ``slice_divisor`` keeps the divisor of the last F it served on this
-    direction; the slot takes no part in equality, hashing or repr.
+    Two slots take no part in equality, hashing or repr: ``slice_divisor``
+    keeps the divisor of the last F it served on this direction, and
+    ``circle_values`` the circle values of the last (F, r, M).
     """
 
     components: tuple[complex, ...]
     _divisor: tuple[MeroFunction, SliceDivisor] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _circle: tuple[MeroFunction, float, int, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -431,9 +438,13 @@ class SliceDivisor:
 
 
 def make_slice(F: MeroFunction, zeta: Direction) -> SlicePair:
-    """Restrict F to the complex line {z * zeta}."""
+    """Restrict F to the complex line {z * zeta}; the pair of the divisor
+    zeta keeps, when it keeps F's."""
     if zeta.n != F.n:
         raise ValueError("direction dimension does not match F")
+    slot = zeta._divisor
+    if slot is not None and slot[0] is F:
+        return slot[1].pair
     dirs = np.array([zeta.components], dtype=complex)
     g = slice_coefficients(F.numerator, dirs)[0]
     h = slice_coefficients(F.denominator, dirs)[0]
@@ -525,9 +536,28 @@ def unit_nodes(M: int) -> np.ndarray:
     return w
 
 
+def circle_values(F: MeroFunction, zeta: Direction, r: float, M: int) -> np.ndarray:
+    """log|g/h| of F's slice at the M midpoint nodes of |z| = r, raw as
+    circle_log_values gives them, read-only.
+
+    zeta keeps the values of the last (F, r, M), F matched by identity and
+    r and M by value, so the circle queries on one slice evaluate it once.
+    """
+    slot = zeta._circle
+    if slot is not None and slot[0] is F and slot[1] == r and slot[2] == M:
+        return slot[3]
+    pair = make_slice(F, zeta)
+    vals = circle_log_values(pair.g.row, pair.h.row, r * unit_nodes(M))[0]
+    vals.setflags(write=False)
+    object.__setattr__(zeta, "_circle", (F, r, M, vals))
+    return vals
+
+
 def jensen_residual(F: MeroFunction, zeta: Direction, r: float, M: int) -> float:
-    """|N(r,0) - N(r,inf) - circle mean of log|F|| with M midpoint nodes."""
+    """|N(r,0) - N(r,inf) - circle mean of log|F|| with M midpoint nodes,
+    the circle values being those ``circle_values`` keeps."""
     check_positive(r, "r")
+    midpoint_angles(M)  # checks M before any root is found
     div = slice_divisor(F, zeta)
     roots = [z for z, _ in div.zeros + div.poles]
     roots += [z for zg, zh, _ in div.cancelled for z in (zg, zh)]
@@ -537,9 +567,7 @@ def jensen_residual(F: MeroFunction, zeta: Direction, r: float, M: int) -> float
                 f"root at |z|={abs(z):.6g} within 1e-3*r of the circle r={r}"
             )
     lhs = div.big_N(r, 0) - div.big_N(r, math.inf)
-    w = r * unit_nodes(M)
-    vals = circle_log_values(div.pair.g.row, div.pair.h.row, w)[0]
-    return float(abs(lhs - vals.mean()))
+    return float(abs(lhs - circle_values(F, zeta, r, M).mean()))
 
 
 def indeterminacy_test(F: MeroFunction, zeta: Direction) -> tuple[bool, float]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -350,29 +351,14 @@ def check_stencil(
     return rho
 
 
-def mean_value_differences(
-    r_values: Sequence[float],
-    theta_values: Sequence[float],
-    rho: float | None,
-    circle_nodes: int,
-    totals: Callable[[list[tuple[float, list[float]]]], Iterable[np.ndarray]],
-) -> np.ndarray:
-    """Circle mean minus centre value of T* at every interior grid point.
-
-    Around each interior point z0 = r e^{i theta} the nodes sit on
-    |z - z0| = rho at angles theta + angle(r + rho e^{2 pi i c/C}), so their
-    radii |r + rho e^{2 pi i c/C}| are shared along grid rows and one circle
-    evaluation serves a radius.  Node c > C/2 is taken as the exact conjugate
-    of node C - c, so mirrored nodes share their radius bit for bit.
-    ``totals(rings)`` takes every ring, a (radius, thetas) pair, the node
-    radii first and then one centre ring per interior row, and returns T* at
-    each ring's (radius, theta) as arrays (len(thetas), columns), one column
-    per direction, in ring order; they are read one at a time.  The result
-    has shape (rows - 2, thetas - 2, columns).
-    """
-    r_values = [float(r) for r in r_values]
-    theta_values = [float(t) for t in theta_values]
-    rho = check_stencil(r_values, theta_values, rho, circle_nodes)
+@lru_cache(maxsize=8)
+def _stencil_rings(
+    r_values: tuple[float, ...], theta_values: tuple[float, ...], rho: float, circle_nodes: int
+) -> tuple[tuple[float, tuple[float, ...], tuple[tuple[int, int], ...]], ...]:
+    """The node rings of mean_value_differences's stencil on a checked grid:
+    per distinct node radius, in order of first use, (radius, thetas, cells)
+    with the interior cell (ii, jj) each theta's node belongs to.  Cached per
+    grid, so repeated tests on one grid lay their stencil out once."""
     interior_r, interior_t = r_values[1:-1], theta_values[1:-1]
     psi = 2.0 * math.pi * np.arange(circle_nodes) / circle_nodes
     mirrored = np.arange(circle_nodes // 2 + 1, circle_nodes)
@@ -388,17 +374,48 @@ def mean_value_differences(
                 if not 0.0 <= th <= math.pi:
                     raise ValueError("circle node leaves the closed upper half-plane")
                 rings.setdefault(float(radii[c]), []).append((th, ii, jj))
+    return tuple(
+        (radius, tuple(e[0] for e in entries), tuple((ii, jj) for _, ii, jj in entries))
+        for radius, entries in rings.items()
+    )
 
+
+def mean_value_differences(
+    r_values: Sequence[float],
+    theta_values: Sequence[float],
+    rho: float | None,
+    circle_nodes: int,
+    totals: Callable[[list[tuple[float, Sequence[float]]]], Iterable[np.ndarray]],
+) -> np.ndarray:
+    """Circle mean minus centre value of T* at every interior grid point.
+
+    Around each interior point z0 = r e^{i theta} the nodes sit on
+    |z - z0| = rho at angles theta + angle(r + rho e^{2 pi i c/C}), so their
+    radii |r + rho e^{2 pi i c/C}| are shared along grid rows and one circle
+    evaluation serves a radius.  Node c > C/2 is taken as the exact conjugate
+    of node C - c, so mirrored nodes share their radius bit for bit.  The
+    layout of the rings is cached per grid (``_stencil_rings``).
+    ``totals(rings)`` takes every ring, a (radius, thetas) pair, the node
+    radii first and then one centre ring per interior row, and returns T* at
+    each ring's (radius, theta) as arrays (len(thetas), columns), one column
+    per direction, in ring order; they are read one at a time and added to
+    their cells row by row.  The result has shape
+    (rows - 2, thetas - 2, columns).
+    """
+    r_values = tuple(float(r) for r in r_values)
+    theta_values = tuple(float(t) for t in theta_values)
+    rho = check_stencil(r_values, theta_values, rho, circle_nodes)
+    rings = _stencil_rings(r_values, theta_values, rho, circle_nodes)
+    interior_r, interior_t = r_values[1:-1], theta_values[1:-1]
     results = iter(totals(
-        [(radius, [e[0] for e in entries]) for radius, entries in rings.items()]
-        + [(r, interior_t) for r in interior_r]
+        [(radius, thetas) for radius, thetas, _ in rings] + [(r, interior_t) for r in interior_r]
     ))
     acc = None
-    for entries in rings.values():
+    for _, _, cells in rings:
         ring = next(results)
         if acc is None:
             acc = np.zeros((len(interior_r), len(interior_t), ring.shape[1]))
-        for row, (_, ii, jj) in zip(ring, entries):
+        for row, (ii, jj) in zip(ring, cells):
             acc[ii, jj] += row
     for ii in range(len(interior_r)):
         acc[ii] = acc[ii] / circle_nodes - next(results)

@@ -74,7 +74,7 @@ import numpy as np
 
 from .funcdef import MeroFunction
 from .slicing import (
-    MIN_NODES, Direction, SlicePair, big_N_rows, circle_log_values, make_slice, midpoint_angles,
+    MIN_NODES, Direction, big_N_rows, circle_log_values, circle_values, midpoint_angles,
     slice_divisor, unit_nodes,
 )
 
@@ -163,7 +163,10 @@ class RearrangedProfile:
         asc = self.sorted_values[::-1]
         M = asc.shape[0]
         k, frac = split_theta(float(theta), M)
-        return float(_bathtub(np.add.reduce(asc[M - k :]), asc, k, frac))
+        top = np.add.reduce(asc[M - k :])
+        if frac:
+            top = top + frac * asc[M - 1 - k]
+        return float(top / M)
 
 
 class LevelValue(float):
@@ -205,27 +208,27 @@ def split_theta(theta: float, M: int) -> tuple[int, float]:
     return k, s - k
 
 
-def _bathtub(top, asc: np.ndarray, k: int, frac: float):
-    """The bathtub value of ascending rows asc at rank k: top, the sum of
-    their top k entries, plus frac of the next entry, over M."""
-    M = asc.shape[-1]
-    if frac:
-        top = top + frac * asc[..., M - 1 - k]
-    return top / M
-
-
 def _top_means(asc: np.ndarray, thetas) -> np.ndarray:
     """Mean of the top 2*theta measure of each ascending row of asc, at each
     theta: shape (len(thetas),) + asc.shape[:-1].  A theta of rank k adds one
-    sum of the top k entries, which depends on the row and k alone."""
+    sum of the top k entries, which depends on the row and k alone, to frac
+    times entry M-1-k in place; one division by M ends the call.  Each value
+    takes the operations of ``RearrangedProfile.fstar``, so has its bits."""
     M = asc.shape[-1]
     out = np.empty((len(thetas),) + asc.shape[:-1])
     tops: dict[int, np.ndarray] = {}
     for i, theta in enumerate(thetas):
         k, frac = split_theta(float(theta), M)
-        if k not in tops:
-            tops[k] = np.add.reduce(asc[..., M - k :], axis=-1)
-        out[i] = _bathtub(tops[k], asc, k, frac)
+        top = tops.get(k)
+        if top is None:
+            top = tops[k] = np.add.reduce(asc[..., M - k :], axis=-1)
+        if frac:
+            row = out[i, ...]
+            np.multiply(asc[..., M - 1 - k], frac, out=row)
+            row += top
+        else:
+            out[i] = top
+    out /= M
     return out
 
 
@@ -372,19 +375,17 @@ def star_rows(
     return out
 
 
-def _pair_samples(pair: SlicePair, r: float, M: int) -> CircleSamples:
-    vals = circle_log_values(pair.g.row, pair.h.row, r * unit_nodes(M))[0]
-    vals, clipped = sanitize_log_values(vals)
-    return CircleSamples(r=float(r), direction=pair.direction, M=M, values=vals, clipped=clipped)
-
-
 def circle_log_samples(F: MeroFunction, zeta: Direction, r: float, M: int = 4096) -> CircleSamples:
-    """Midpoint samples of log|F(re^{ix} zeta)|, clamped to [floor, ceiling].
+    """Midpoint samples of log|F(re^{ix} zeta)|, clamped to [floor, ceiling],
+    from the circle values zeta keeps (``slicing.circle_values``): a
+    ``jensen_residual`` or ``slice_star_total`` at the same (F, r, M) shares
+    one evaluation with this call.
 
     If g_zeta and h_zeta share roots (indeterminate direction) the cancelled
     slice is sampled, consistent with the counting functions.
     """
-    return _pair_samples(make_slice(F, zeta), r, M)
+    vals, clipped = sanitize_log_values(circle_values(F, zeta, r, M))
+    return CircleSamples(r=float(r), direction=zeta, M=M, values=vals, clipped=clipped)
 
 
 def star_rearranged(samples: CircleSamples, theta: float) -> float:
@@ -416,8 +417,9 @@ def star_thresholded(samples: CircleSamples, theta: float) -> float:
 def slice_star_total(
     F: MeroFunction, zeta: Direction, r: float, theta: float, M: int = 4096
 ) -> StarValue:
-    """T*(re^{i theta}, F_zeta) = rearranged star + N(r, inf; F_zeta)."""
+    """T*(re^{i theta}, F_zeta) = rearranged star + N(r, inf; F_zeta), from
+    the circle samples of ``circle_log_samples``."""
     div = slice_divisor(F, zeta)
-    fstar = star_rearranged(_pair_samples(div.pair, r, M), theta)
+    fstar = star_rearranged(circle_log_samples(F, zeta, r, M), theta)
     n_inf = div.big_N(r, math.inf)
     return StarValue(r=float(r), theta=float(theta), fstar=fstar, big_N_inf=n_inf, total=fstar + n_inf)

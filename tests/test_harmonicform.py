@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from starfn.funcdef import MeroFunction, MultiPoly, linear_form, parse_function
-from starfn import harmonicform
+from starfn import harmonicform, sphere
 from starfn.harmonicform import (
     CanonicalProduct,
     DetectionReport,
@@ -19,7 +19,7 @@ from starfn.harmonicform import (
     slice_harmonicity_test,
     verify_harmonic_form,
 )
-from starfn.slicing import Direction, slice_divisor
+from starfn.slicing import Direction, batched_roots, jensen_residual, slice_divisor
 from starfn.sphere import mean_value_differences, sample_directions
 from starfn.starcore import _circle_abs2, star_rows
 
@@ -186,7 +186,7 @@ def test_detect_rational_form_via_pade():
 
 MULTIPLE_ON_RAY = {
     "zero": ("(1 + 0.5*z1 + 0.25*z2)^{m}", [3, 4, 5, 10, 11]),
-    "pole": ("1 / (1 - 0.5*z1 - 0.25*z2)^{m}", [3, 4, 5, 6, 7, 9, 10, 11]),
+    "pole": ("1 / (1 - 0.5*z1 - 0.25*z2)^{m}", [3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14]),
     "axis-pole": ("1 / (1 - 3*z1)^{m}", [12]),
 }
 
@@ -363,6 +363,35 @@ def test_slice_harmonicity_separates_ray_from_generic():
         slice_harmonicity_test(
             F_gen, zeta, (0.5, 1.0, 1.5), (0.01, 0.05, 0.1), M=64, rho=0.2
         )
+
+
+def test_bad_harmonic_slice_arguments_raise_before_any_root_extraction(monkeypatch):
+    calls = []
+
+    def counted(coef):
+        calls.append(coef.shape[0])
+        return batched_roots(coef)
+
+    monkeypatch.setattr("starfn.slicing.batched_roots", counted)
+    F = parse_function("(1 + z1) * (1 + 2*z2)", 2)
+    with pytest.raises(ValueError, match="M must be at least"):
+        slice_harmonicity_test(F, Direction.of((1.0, 1.0j)), GRID_R, GRID_TH, M=8)
+    with pytest.raises(ValueError, match="3x3 grid"):
+        slice_harmonicity_test(F, Direction.of((1.0, 1.0j)), (1.0, 2.0), (0.5, 1.0), M=64)
+    with pytest.raises(ValueError, match="M must be at least"):
+        jensen_residual(F, Direction.of((1.0, 1.0j)), 1.0, 8)
+    assert calls == []
+
+
+def test_repeated_grids_lay_their_stencil_out_once():
+    sphere._stencil_rings.cache_clear()
+    F, zeta = F_HARMONIC, Direction((1 + 0j, 0j))
+    for _ in range(3):
+        assert slice_harmonicity_test(F, zeta, GRID_R, GRID_TH, M=256, tol=1e-3)
+    info = sphere._stencil_rings.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    slice_harmonicity_test(F, zeta, GRID_R, GRID_TH, M=256, tol=1e-3, circle_nodes=6)
+    assert sphere._stencil_rings.cache_info().misses == 2
 
 
 def _per_ring_differences(F, zeta, M):

@@ -12,6 +12,8 @@ from starfn.slicing import (
     SlicePair,
     UniPoly,
     batched_roots,
+    circle_log_values,
+    circle_values,
     counting_big_N,
     counting_record,
     counting_small_n,
@@ -24,7 +26,7 @@ from starfn.slicing import (
     slice_coefficients,
     slice_divisor,
 )
-from starfn.starcore import slice_star_total
+from starfn.starcore import circle_log_samples, slice_star_total
 
 F_RATIO = parse_function("(z1-1)/(z2-1)", 2)
 ZETA_86 = Direction((0.8, 0.6))
@@ -388,17 +390,51 @@ def test_a_failed_divisor_build_leaves_the_slot_as_it_was(monkeypatch):
     assert len(calls) == 2
 
 
+def _count_circle_evaluations(monkeypatch) -> list[int]:
+    calls = []
+
+    def counted(g_coef, h_coef, w):
+        calls.append(w.shape[-1])
+        return circle_log_values(g_coef, h_coef, w)
+
+    monkeypatch.setattr("starfn.slicing.circle_log_values", counted)
+    return calls
+
+
 def test_single_slice_queries_on_a_kept_divisor_give_fresh_bits(monkeypatch):
     F = parse_function(SLOT_F, 2)
     components = (0.6 + 0.2j, -0.5 + 0.1j)
     zeta = Direction.of(components)
-    slice_divisor(F, zeta)
+    div = slice_divisor(F, zeta)
+    assert make_slice(F, zeta) is div.pair  # a circle miss builds no second pair
     calls = _count_slice_root_calls(monkeypatch)
+    circles = _count_circle_evaluations(monkeypatch)
+    thetas = (0.3, math.pi / 2, math.pi)
+
+    def circle_queries(direction, r):
+        return [
+            jensen_residual(F, direction(), r, 1024),
+            circle_log_samples(F, direction(), r, 1024).values.tobytes(),
+        ] + [slice_star_total(F, direction(), r, theta, M=1024) for theta in thetas]
+
     for r in (0.5, 1.0, 2.0):
         for a in (0, math.inf):
             assert counting_record(F, zeta, r, a) == counting_record(F, Direction.of(components), r, a)
-        assert jensen_residual(F, zeta, r, 1024) == jensen_residual(F, Direction.of(components), r, 1024)
-        for theta in (0.3, math.pi / 2, math.pi):
-            kept = slice_star_total(F, zeta, r, theta, M=1024)
-            assert kept == slice_star_total(F, Direction.of(components), r, theta, M=1024)
+        circles.clear()
+        kept = circle_queries(lambda: zeta, r)
+        assert circles == [1024]  # one evaluation serves all five queries
+        assert kept == circle_queries(lambda: Direction.of(components), r)
     assert len(calls) == 2 * 18  # the roots of g and h on each fresh direction
+
+    values = circle_values(F, zeta, 2.0, 1024)
+    assert not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 0.0
+    circles.clear()
+    twin = parse_function(SLOT_F, 2)  # equal by value, but another F
+    assert make_slice(twin, zeta) is not div.pair
+    for f, r, M in ((F, 2.0, 1024), (twin, 2.0, 1024), (twin, 1.0, 1024), (twin, 1.0, 2048)):
+        circle_log_samples(f, zeta, r, M)
+        circle_log_samples(f, zeta, r, M)
+    assert circles == [1024, 1024, 2048]  # another F, r or M evaluates again
+    assert len(calls) == 2 * 18
