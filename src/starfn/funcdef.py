@@ -2,8 +2,8 @@
 
 Polynomials are sparse maps from exponent tuples to complex coefficients.
 Everything here is immutable and pure: parsing, arithmetic, evaluation and
-the split into homogeneous parts.  Evaluation sums terms in a fixed sorted
-order so results are reproducible bit-for-bit.
+printing.  Evaluation sums terms in a fixed sorted order so results are
+reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ Exponent = tuple[int, ...]
 __all__ = [
     "MultiPoly",
     "MeroFunction",
-    "HomogeneousParts",
     "ParseError",
     "NormalizationError",
     "parse_poly",
     "parse_function",
-    "homogeneous_parts",
     "poly_to_text",
     "function_to_text",
     "linear_form",
@@ -170,10 +168,6 @@ class MultiPoly:
             k >>= 1
         return result
 
-    def truncated(self, K: int) -> "MultiPoly":
-        """Drop all terms of total degree > K."""
-        return MultiPoly(self.n, {e: c for e, c in self._terms.items() if sum(e) <= K})
-
     # -- evaluation ------------------------------------------------------
 
     def eval(self, Z: Sequence[complex]) -> complex:
@@ -217,34 +211,6 @@ def linear_form(eta: Sequence[complex], n: int | None = None) -> MultiPoly:
             exp = tuple(1 if i == j else 0 for i in range(n))
             terms[exp] = complex(c)
     return MultiPoly(n, terms)
-
-
-@dataclass(frozen=True)
-class HomogeneousParts:
-    """Degree-graded pieces of a polynomial: parts[k] is k-homogeneous."""
-
-    parts: tuple[MultiPoly, ...]
-    K: int
-
-    def __post_init__(self):
-        if self.K < 0 or len(self.parts) != self.K + 1:
-            raise ValueError("parts must have length K+1")
-        for k, p in enumerate(self.parts):
-            if any(sum(e) != k for e in p._terms):
-                raise ValueError(f"part {k} is not homogeneous of degree {k}")
-
-
-def homogeneous_parts(p: MultiPoly, K: int) -> HomogeneousParts:
-    """Split p into total-degree-k pieces for k = 0..K."""
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    buckets: list[dict[Exponent, complex]] = [{} for _ in range(K + 1)]
-    for exp, c in p._terms.items():
-        d = sum(exp)
-        if d <= K:
-            buckets[d][exp] = c
-    parts = tuple(MultiPoly(p.n, b) for b in buckets)
-    return HomogeneousParts(parts=parts, K=K)
 
 
 @dataclass(frozen=True)
@@ -530,23 +496,35 @@ def parse_function(text: str, n: int) -> MeroFunction:
     return MeroFunction.from_polys(G, H)
 
 
+def load_json_object(source, what: str) -> Mapping:
+    """source itself if it is a mapping, else the JSON object in the file
+    at path source; ValueError names ``what`` for any other document."""
+    if isinstance(source, Mapping):
+        return source
+    with open(source, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} must be a JSON object")
+    return data
+
+
 def load_function(source) -> MeroFunction:
     """Read a function-definition mapping or JSON file.
 
     Accepts {"n": int, "numerator": str, "denominator": str} with
     "denominator" defaulting to "1"; ``source`` may be a path or a dict.
     """
-    if isinstance(source, Mapping):
-        data = source
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = load_json_object(source, "a function definition")
     try:
         n = int(data["n"])
         num = data["numerator"]
     except KeyError as exc:
         raise ValueError(f"function definition missing key {exc}") from None
+    except TypeError:
+        raise ValueError('"n" must be an integer') from None
     den = data.get("denominator", "1")
+    if not (isinstance(num, str) and isinstance(den, str)):
+        raise ValueError("numerator and denominator must be strings")
     G = parse_poly(num, n)
     H = parse_poly(den, n)
     return MeroFunction.from_polys(G, H)

@@ -14,17 +14,17 @@ c(k) = sum (-1)^{k+1}/r_m^k + sum 1/s_m^k for k >= 2,
 
 and d_k = f^{(k)}(0) e^{-ik theta_hat} is real.  In several variables the
 star-function average is harmonic (not merely subharmonic) exactly when
-F(Z) = P(Z . eta) for such a P; this module detects and verifies that form:
-the homogeneous parts of the series of F must satisfy P_k = c_k P_1^k with
-real c_k, and P must have its zeros on one ray and poles on the opposite
-ray.  P needs no reconstruction: with e_J the coordinate axis on which
-|eta_J| is largest and q = eta_J, Z = (u/q) e_J has Z . eta = u, so
-P(u) = F((u/q) e_J) is F's own slice along e_J, scaled by q.
+F(Z) = P(Z . eta) for such a P; this module detects and verifies that form.
+P needs no reconstruction: with e_J the coordinate axis on which |eta_J| is
+largest and q = eta_J, Z = (u/q) e_J has Z . eta = u, so P(u) = F((u/q) e_J)
+is F's own slice g/h along e_J, scaled by q.  F = G/H is a function of
+Z . eta exactly when the polynomial identity G(Z) h(l) = H(Z) g(l) holds for
+l = Z . eta / q, and P must have its zeros on one ray and poles on the
+opposite ray.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .funcdef import MeroFunction, MultiPoly, homogeneous_parts
+from .funcdef import MeroFunction, MultiPoly, linear_form, load_json_object
 from .slicing import Direction, horner_rows, make_slice, slice_coefficients, slice_divisor
 from .sphere import check_stencil, mean_value_differences
 from .starcore import check_circle, star_rows
@@ -53,7 +53,8 @@ __all__ = [
     "slice_harmonicity_test",
 ]
 
-#: absolute tolerance on Im(c_k) when certifying profile coefficients
+#: largest per-degree relative residual of G h(l) - H g(l) that
+#: detect_harmonic_form accepts as the identity F(Z) = P(Z . eta)
 REAL_TOL = 1e-9
 #: angular tolerance (radians) for the ray geometry of the reconstructed P
 RAY_TOL = 1e-6
@@ -135,17 +136,16 @@ class DetectionReport:
 
 def load_canonical_product(source) -> CanonicalProduct:
     """Read {"gamma": g, "theta": t, "zeros": [...], "poles": [...]} or a JSON file of it."""
-    if isinstance(source, dict):
-        data = source
-    else:
-        with open(source, encoding="utf-8") as fh:
-            data = json.load(fh)
-    return CanonicalProduct(
-        gamma=float(data.get("gamma", 0.0)),
-        rotation=float(data.get("theta", 0.0)),
-        zero_moduli=tuple(data.get("zeros", ())),
-        pole_moduli=tuple(data.get("poles", ())),
-    )
+    data = load_json_object(source, "a canonical product")
+    try:
+        return CanonicalProduct(
+            gamma=float(data.get("gamma", 0.0)),
+            rotation=float(data.get("theta", 0.0)),
+            zero_moduli=tuple(data.get("zeros", ())),
+            pole_moduli=tuple(data.get("poles", ())),
+        )
+    except TypeError as exc:  # a number where a list belongs, or the reverse
+        raise ValueError(f"malformed canonical product: {exc}") from None
 
 
 def product_taylor_coeffs(cp: CanonicalProduct, K: int) -> TaylorCoeffs:
@@ -190,33 +190,6 @@ def product_taylor_coeffs(cp: CanonicalProduct, K: int) -> TaylorCoeffs:
 # several-variable detection
 
 
-def _series_inverse(H: MultiPoly, K: int) -> MultiPoly:
-    """Power series of 1/H modulo total degree K (requires H(0) = 1).
-
-    Solves H*S = 1 degree by degree on the homogeneous parts: S_0 = 1 and
-    S_k = -sum_{j=1..k} H_j S_{k-j}, over H's nonzero parts only.  Unlike the
-    powers of 1 - H, whose terms cancel heavily when H is a high power, each
-    part is a short sum of products of parts already found.
-    """
-    one = MultiPoly.constant(H.n, 1)
-    if not H.degree():
-        return one
-    H_parts = [(j, p) for j, p in enumerate(homogeneous_parts(H, K).parts) if j and not p.is_zero]
-    S = [one]
-    for k in range(1, K + 1):
-        acc = MultiPoly.zero(H.n)
-        for j, part in H_parts:
-            if j > k:
-                break
-            acc = acc + part * S[k - j]
-        S.append(-acc)
-    return MultiPoly(H.n, {e: c for part in S for e, c in part.terms.items()})
-
-
-def _coeff_norm(p: MultiPoly) -> float:
-    return max((abs(c) for c in p.terms.values()), default=0.0)
-
-
 def _probe(eta: Sequence[complex]) -> tuple[complex, Direction] | None:
     """(q, e_J) for the coordinate axis e_J on which |eta_J| is largest, with
     q = eta_J: Z = (u/q) e_J has Z . eta = u, so P(u) = F((u/q) e_J).  None
@@ -259,70 +232,69 @@ def ray_alignment(
     return _wrap_angle(math.pi - beta), max_dev <= tol_angle, max_dev
 
 
+def _compose(coeffs: Sequence[complex], ell: MultiPoly) -> MultiPoly:
+    """p(ell) for p(u) = sum_k coeffs[k] u^k, by Horner's rule."""
+    acc = MultiPoly.zero(ell.n)
+    for c in reversed(coeffs):
+        acc = acc * ell + MultiPoly.constant(ell.n, c)
+    return acc
+
+
+def _degree_norms(p: MultiPoly, K: int) -> list[float]:
+    """max |coefficient| of p's degree-k part for k = 0..K (0 where empty)."""
+    norms = [0.0] * (K + 1)
+    for exp, c in p.terms.items():
+        k = sum(exp)
+        norms[k] = max(norms[k], abs(c))
+    return norms
+
+
 def detect_harmonic_form(F: MeroFunction, tol: float = REAL_TOL) -> DetectionReport:
     """Decide whether F(Z) = P(Z . eta) for a ray-structured P.
 
-    The series of G/H is expanded to K = deg G + deg H.  eta is its degree-1
-    part; the candidate c_k are read off at the coordinate probe maximizing
-    |P_1|, and detection requires, for every k <= K,
-
-        |Im c_k| <= tol  and  ||P_k - c_k P_1^k||_inf <= tol ||P_k||_inf,
-
-    plus the ray geometry of P — the coefficient law alone cannot reject
-    zeros spread over a full line.  P's zeros and poles are those of F's
-    slice along the probe axis, clustered and cancelled in pairs by
-    ``slice_divisor``, scaled by q.
+    eta = grad G(0) - grad H(0) is the linear part of G/H.  With q = eta_J on
+    the axis e_J where |eta_J| is largest and g/h F's slice along e_J, the
+    only candidate is P(u) = g(u/q)/h(u/q), and F = P(Z . eta) is the
+    identity G(Z) h(l(Z)) = H(Z) g(l(Z)) for l(Z) = Z . eta / q.
+    per_degree_residuals[k], k = 0..deg G + deg H, is the largest degree-k
+    coefficient of the difference over the larger of the two sides' (0 where
+    both vanish).  Detection needs each to be at most tol, and P's zeros and
+    poles (the slice's, clustered and cancelled in pairs by ``slice_divisor``,
+    scaled by q) on opposite rays, which the identity alone cannot enforce.
+    With P'(0) = eta_J / q = 1, such rays force theta_hat = 0.
     """
-    n = F.n
-    K = F.numerator.degree() + F.denominator.degree()
-    series = (F.numerator * _series_inverse(F.denominator, K)).truncated(K)
-    parts = homogeneous_parts(series, K).parts
-
-    if K == 0:
-        eta = (0j,) * n
-    else:
-        eta = tuple(
-            parts[1].coefficient(tuple(int(i == j) for i in range(n))) for j in range(n)
-        )
+    n, G, H = F.n, F.numerator, F.denominator
+    axes = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    eta = tuple(G.coefficient(e) - H.coefficient(e) for e in axes)
     probe = _probe(eta)
-    if probe is None:
-        if F.numerator == F.denominator:
-            form = HarmonicForm(eta=(0j,) * n, profile=(1 + 0j,), residual=0.0)
-            return DetectionReport(True, form, (), None)
-        return DetectionReport(False, None, (), None)
+    if probe is None:  # P'(0) = 0, and only F == 1 has the form, with P == 1
+        form = HarmonicForm(eta=eta, profile=(1 + 0j,), residual=0.0) if G == H else None
+        return DetectionReport(form is not None, form, (), None)
 
     q, axis = probe
-    P1 = parts[1]
-
-    profile: list[complex] = [1 + 0j]
-    residuals: list[float] = []
-    coeff_ok = True
-    p1_power = MultiPoly.constant(n, 1)
-    for k in range(1, K + 1):
-        p1_power = p1_power * P1
-        norm_k = _coeff_norm(parts[k])
-        c_k = parts[k].eval(axis.components) / q**k if norm_k else 0j
-        if abs(c_k.imag) > tol:
-            coeff_ok = False
-        diff_norm = _coeff_norm(parts[k] - p1_power.scale(c_k))
-        residuals.append(diff_norm / norm_k if norm_k else (0.0 if diff_norm == 0 else math.inf))
-        if residuals[-1] > tol:
-            coeff_ok = False
-        profile.append(c_k)
-
     div = slice_divisor(F, axis)
-    theta_hat, aligned, max_dev = ray_alignment(
-        [q * z for z, _ in div.zeros], [q * w for w, _ in div.poles]
-    )
-    ray = (theta_hat if theta_hat is not None else 0.0, max_dev)
+    g, h = div.pair.g.coeffs, div.pair.h.coeffs
+    K = G.degree() + H.degree()
+    ell = linear_form([e / q for e in eta], n)
+    lhs, rhs = G * _compose(h, ell), H * _compose(g, ell)
+    diff, lhs_norms, rhs_norms = (_degree_norms(p, K) for p in (lhs - rhs, lhs, rhs))
+    # a nonzero degree-k difference has a nonzero degree-k term in lhs or rhs
+    residuals = tuple(d / max(a, b) if d else 0.0 for d, a, b in zip(diff, lhs_norms, rhs_norms))
 
-    detected = coeff_ok and aligned
-    form = (
-        HarmonicForm(eta=eta, profile=tuple(profile), residual=max(residuals, default=0.0))
-        if detected
-        else None
-    )
-    return DetectionReport(detected, form, tuple(residuals), ray)
+    zeros, poles = ([q * z for z, _ in points] for points in (div.zeros, div.poles))
+    theta_hat, aligned, max_dev = ray_alignment(zeros, poles)
+    ray = (theta_hat if theta_hat is not None else 0.0, max_dev)
+    if not (aligned and max(residuals) <= tol):
+        return DetectionReport(False, None, residuals, ray)
+
+    # P(u) = (g/h)(u/q): the series of g/h by forward substitution (h_0 = 1)
+    series: list[complex] = []
+    for k in range(K + 1):
+        tail = sum(h[j] * series[k - j] for j in range(1, min(k + 1, len(h))))
+        series.append((g[k] if k < len(g) else 0j) - tail)
+    profile = tuple(s / q**k for k, s in enumerate(series))
+    form = HarmonicForm(eta=eta, profile=profile, residual=max(residuals))
+    return DetectionReport(True, form, residuals, ray)
 
 
 def verify_harmonic_form(

@@ -294,6 +294,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("starfn: ")
 
 
+@pytest.mark.parametrize(
+    "command, flag, document",
+    [
+        ("detect-harmonic", "--fn", [1, 2]),
+        ("detect-harmonic", "--fn", {"zeros": 5}),
+        ("detect-harmonic", "--fn", {"n": 2, "numerator": 5}),
+        ("detect-harmonic", "--fn", {"n": [2], "numerator": "1"}),
+        ("product-taylor", "--product", [1, 2]),
+        ("product-taylor", "--product", {"zeros": 5}),
+        ("product-taylor", "--product", {"gamma": [0.5]}),
+    ],
+)
+def test_malformed_json_documents_exit_2(tmp_path, capsys, command, flag, document):
+    # a document of the wrong shape is an input error, not a negative answer
+    assert main([command, flag, _write_fn(tmp_path, "doc.json", document)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("starfn: ")
+
+
 def test_bad_values_are_rejected_before_sampling(tmp_path, capsys, monkeypatch):
     fn = _write_fn(tmp_path, "f.json", RATIONAL_SRC)
 

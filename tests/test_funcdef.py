@@ -6,7 +6,6 @@ from starfn.funcdef import (
     NormalizationError,
     ParseError,
     function_to_text,
-    homogeneous_parts,
     linear_form,
     load_function,
     parse_function,
@@ -88,36 +87,6 @@ def test_eval_poly_dimension_mismatch():
     p = parse_poly("z1", 2)
     with pytest.raises(ValueError):
         p.eval((1,))
-
-
-def test_homogeneous_parts_quadratic():
-    p = parse_poly("1 + (z1 + 2*z2) + 0.25*(z1 + 2*z2)^2", 2)
-    hp = homogeneous_parts(p, 4)
-    assert hp.parts[0] == MultiPoly.constant(2, 1)
-    assert hp.parts[1] == parse_poly("z1 + 2*z2", 2)
-    assert hp.parts[2] == parse_poly("0.25*z1^2 + z1*z2 + z2^2", 2)
-    assert hp.parts[3].is_zero and hp.parts[4].is_zero
-
-
-def test_homogeneous_parts_product_example():
-    hp = homogeneous_parts(parse_poly("1 - z1*z2", 2), 2)
-    assert hp.parts[1].is_zero
-    assert hp.parts[2] == parse_poly("-z1*z2", 2)
-
-
-def test_homogeneous_parts_sum_reconstructs():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        terms = {}
-        for _ in range(rng.integers(1, 8)):
-            exp = tuple(int(e) for e in rng.integers(0, 4, size=3))
-            terms[exp] = complex(rng.normal(), rng.normal())
-        p = MultiPoly(3, terms)
-        hp = homogeneous_parts(p, p.degree())
-        total = MultiPoly.zero(3)
-        for part in hp.parts:
-            total = total + part
-        assert total == p
 
 
 def test_print_parse_round_trip_random():
