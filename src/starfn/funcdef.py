@@ -134,11 +134,7 @@ class MultiPoly:
         return MultiPoly(self.n, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        self._require_same_n(other)
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            out[exp] = out.get(exp, 0j) - c
-        return MultiPoly(self.n, out)
+        return self + -other  # a + (-b) rounds exactly as a - b
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.n, {e: -c for e, c in self._terms.items()})
@@ -205,12 +201,7 @@ def linear_form(eta: Sequence[complex], n: int | None = None) -> MultiPoly:
         n = len(eta)
     if len(eta) != n:
         raise ValueError("eta has wrong length")
-    terms: dict[Exponent, complex] = {}
-    for j, c in enumerate(eta):
-        if complex(c) != 0:
-            exp = tuple(1 if i == j else 0 for i in range(n))
-            terms[exp] = complex(c)
-    return MultiPoly(n, terms)
+    return MultiPoly(n, {tuple(int(i == j) for i in range(n)): c for j, c in enumerate(eta)})
 
 
 @dataclass(frozen=True)
@@ -516,15 +507,12 @@ def load_function(source) -> MeroFunction:
     """
     data = load_json_object(source, "a function definition")
     try:
-        n = int(data["n"])
-        num = data["numerator"]
+        n, num = data["n"], data["numerator"]
     except KeyError as exc:
         raise ValueError(f"function definition missing key {exc}") from None
-    except TypeError:
-        raise ValueError('"n" must be an integer') from None
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError('"n" must be an integer')
     den = data.get("denominator", "1")
     if not (isinstance(num, str) and isinstance(den, str)):
         raise ValueError("numerator and denominator must be strings")
-    G = parse_poly(num, n)
-    H = parse_poly(den, n)
-    return MeroFunction.from_polys(G, H)
+    return MeroFunction.from_polys(parse_poly(num, n), parse_poly(den, n))

@@ -137,15 +137,16 @@ class DetectionReport:
 def load_canonical_product(source) -> CanonicalProduct:
     """Read {"gamma": g, "theta": t, "zeros": [...], "poles": [...]} or a JSON file of it."""
     data = load_json_object(source, "a canonical product")
-    try:
-        return CanonicalProduct(
-            gamma=float(data.get("gamma", 0.0)),
-            rotation=float(data.get("theta", 0.0)),
-            zero_moduli=tuple(data.get("zeros", ())),
-            pole_moduli=tuple(data.get("poles", ())),
-        )
-    except TypeError as exc:  # a number where a list belongs, or the reverse
-        raise ValueError(f"malformed canonical product: {exc}") from None
+    gamma, theta = data.get("gamma", 0.0), data.get("theta", 0.0)
+    zeros, poles = data.get("zeros", []), data.get("poles", [])
+
+    def real(x) -> bool:
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    lists = all(isinstance(v, (list, tuple)) and all(map(real, v)) for v in (zeros, poles))
+    if not (real(gamma) and real(theta) and lists):
+        raise ValueError('"gamma", "theta" must be numbers and "zeros", "poles" lists of numbers')
+    return CanonicalProduct(float(gamma), float(theta), tuple(zeros), tuple(poles))
 
 
 def product_taylor_coeffs(cp: CanonicalProduct, K: int) -> TaylorCoeffs:
@@ -226,9 +227,7 @@ def ray_alignment(
     beta = math.atan2(mean.imag, mean.real) if abs(mean) > 1e-12 * len(units) else (
         math.atan2(units[0].imag, units[0].real)
     )
-    max_dev = max(
-        abs(_wrap_angle(math.atan2(u.imag, u.real) - beta)) for u in units
-    )
+    max_dev = max(abs(_wrap_angle(math.atan2(u.imag, u.real) - beta)) for u in units)
     return _wrap_angle(math.pi - beta), max_dev <= tol_angle, max_dev
 
 
@@ -240,12 +239,16 @@ def _compose(coeffs: Sequence[complex], ell: MultiPoly) -> MultiPoly:
     return acc
 
 
+def _modulus(p: MultiPoly) -> MultiPoly:
+    """p with every coefficient replaced by its modulus."""
+    return MultiPoly(p.n, {e: abs(c) for e, c in p.terms.items()})
+
+
 def _degree_norms(p: MultiPoly, K: int) -> list[float]:
     """max |coefficient| of p's degree-k part for k = 0..K (0 where empty)."""
     norms = [0.0] * (K + 1)
     for exp, c in p.terms.items():
-        k = sum(exp)
-        norms[k] = max(norms[k], abs(c))
+        norms[sum(exp)] = max(norms[sum(exp)], abs(c))
     return norms
 
 
@@ -257,11 +260,13 @@ def detect_harmonic_form(F: MeroFunction, tol: float = REAL_TOL) -> DetectionRep
     only candidate is P(u) = g(u/q)/h(u/q), and F = P(Z . eta) is the
     identity G(Z) h(l(Z)) = H(Z) g(l(Z)) for l(Z) = Z . eta / q.
     per_degree_residuals[k], k = 0..deg G + deg H, is the largest degree-k
-    coefficient of the difference over the larger of the two sides' (0 where
-    both vanish).  Detection needs each to be at most tol, and P's zeros and
-    poles (the slice's, clustered and cancelled in pairs by ``slice_divisor``,
-    scaled by q) on opposite rays, which the identity alone cannot enforce.
-    With P'(0) = eta_J / q = 1, such rays force theta_hat = 0.
+    coefficient of the difference over the larger of the two sides' largest
+    degree-k coefficient, with every coefficient of G, H, g, h and l taken by
+    its modulus (0 where both sides vanish).  Detection needs each to be at
+    most tol, and P's zeros and poles (the slice's, clustered and cancelled
+    in pairs by ``slice_divisor``, scaled by q) on opposite rays, which the
+    identity alone cannot enforce.  With P'(0) = eta_J / q = 1, such rays
+    force theta_hat = 0.
     """
     n, G, H = F.n, F.numerator, F.denominator
     axes = [tuple(int(i == j) for i in range(n)) for j in range(n)]
@@ -276,10 +281,16 @@ def detect_harmonic_form(F: MeroFunction, tol: float = REAL_TOL) -> DetectionRep
     g, h = div.pair.g.coeffs, div.pair.h.coeffs
     K = G.degree() + H.degree()
     ell = linear_form([e / q for e in eta], n)
-    lhs, rhs = G * _compose(h, ell), H * _compose(g, ell)
-    diff, lhs_norms, rhs_norms = (_degree_norms(p, K) for p in (lhs - rhs, lhs, rhs))
-    # a nonzero degree-k difference has a nonzero degree-k term in lhs or rhs
-    residuals = tuple(d / max(a, b) if d else 0.0 for d, a, b in zip(diff, lhs_norms, rhs_norms))
+    diff = _degree_norms(G * _compose(h, ell) - H * _compose(g, ell), K)
+    # with all coefficients by their moduli each side bounds its rounding, and
+    # is 0 in degree k only where the side has no term: each side of
+    # (1 + L)/(1 - L), L = z1 + 49 z2, is 1e-16 in degree 1, from l_1 = fl(1/49)
+    abs_ell = _modulus(ell)
+    lhs_abs, rhs_abs = (
+        _degree_norms(_modulus(P) * _compose([abs(c) for c in p], abs_ell), K)
+        for P, p in ((G, h), (H, g))
+    )
+    residuals = tuple(d / max(a, b) if d else 0.0 for d, a, b in zip(diff, lhs_abs, rhs_abs))
 
     zeros, poles = ([q * z for z, _ in points] for points in (div.zeros, div.poles))
     theta_hat, aligned, max_dev = ray_alignment(zeros, poles)
@@ -326,7 +337,7 @@ def verify_harmonic_form(
     if F.denominator.degree():
         # p(Z) is the sum of the coefficients of p(z * Z) in z, and the sum of
         # |p_alpha| |Z^alpha| bounds the terms whose cancellation rounds it
-        H_abs = MultiPoly(n, {e: abs(c) for e, c in F.denominator.terms.items()})
+        H_abs = _modulus(F.denominator)
         Z = np.empty((trials, n), dtype=complex)
         H = np.empty(trials, dtype=complex)
         scale = np.empty(trials)

@@ -301,9 +301,15 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ("detect-harmonic", "--fn", {"zeros": 5}),
         ("detect-harmonic", "--fn", {"n": 2, "numerator": 5}),
         ("detect-harmonic", "--fn", {"n": [2], "numerator": "1"}),
+        ("detect-harmonic", "--fn", {"n": 2.7, "numerator": "1 + z1"}),
+        ("detect-harmonic", "--fn", {"n": "2", "numerator": "1 + z1"}),
+        ("detect-harmonic", "--fn", {"n": True, "numerator": "1 + z1"}),
         ("product-taylor", "--product", [1, 2]),
         ("product-taylor", "--product", {"zeros": 5}),
+        ("product-taylor", "--product", {"zeros": "12"}),
+        ("product-taylor", "--product", {"poles": [1.0, "2"]}),
         ("product-taylor", "--product", {"gamma": [0.5]}),
+        ("product-taylor", "--product", {"theta": "0.9"}),
     ],
 )
 def test_malformed_json_documents_exit_2(tmp_path, capsys, command, flag, document):

@@ -171,6 +171,26 @@ def test_detect_rejects_on_the_coefficient_law_alone():
     assert rep.ray[1] == 0.0
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(1 + z1 + 49*z2) / (1 - z1 - 49*z2)",
+        "(1 + 0.9*z1 + 3*z2) / (1 - 0.9*z1 - 3*z2)",
+        "(1 + 0.35*z1 + 0.6*z2) / (1 - 0.35*z1 - 0.6*z2)",
+    ],
+)
+def test_detect_mobius_form_whose_sides_cancel_in_a_degree(text):
+    # (1 + L)/(1 - L): both sides of the identity are 0 in degree 1, but
+    # l = Z . eta / q has inexact coefficients (eta_1/q = fl(1/49), ...), so
+    # each side keeps rounding there, which the residual must measure
+    # against the sides' magnitudes and not against each other
+    F = parse_function(text, 2)
+    rep = detect_harmonic_form(F)
+    assert rep.detected
+    assert max(rep.per_degree_residuals) <= 1e-15
+    assert verify_harmonic_form(F, rep.form) <= 1e-12
+
+
 def test_detect_rational_form_via_pade():
     # P = (1 + u/2)/(1 - u/3), eta = (1, 2); the profile is the series of
     # P(u/P'(0)), so c2 = p2/p1^2 = (5/18)/(5/6)^2 = 0.4
