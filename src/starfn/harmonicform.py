@@ -227,7 +227,9 @@ def ray_alignment(
     beta = math.atan2(mean.imag, mean.real) if abs(mean) > 1e-12 * len(units) else (
         math.atan2(units[0].imag, units[0].real)
     )
-    max_dev = max(abs(_wrap_angle(math.atan2(u.imag, u.real) - beta)) for u in units)
+    max_dev = max(
+        abs(_wrap_angle(math.atan2(u.imag, u.real) - beta)) for u in units
+    )
     return _wrap_angle(math.pi - beta), max_dev <= tol_angle, max_dev
 
 
@@ -285,9 +287,8 @@ def detect_harmonic_form(F: MeroFunction, tol: float = REAL_TOL) -> DetectionRep
     # with all coefficients by their moduli each side bounds its rounding, and
     # is 0 in degree k only where the side has no term: each side of
     # (1 + L)/(1 - L), L = z1 + 49 z2, is 1e-16 in degree 1, from l_1 = fl(1/49)
-    abs_ell = _modulus(ell)
     lhs_abs, rhs_abs = (
-        _degree_norms(_modulus(P) * _compose([abs(c) for c in p], abs_ell), K)
+        _degree_norms(_modulus(P) * _compose([abs(c) for c in p], _modulus(ell)), K)
         for P, p in ((G, h), (H, g))
     )
     residuals = tuple(d / max(a, b) if d else 0.0 for d, a, b in zip(diff, lhs_abs, rhs_abs))
