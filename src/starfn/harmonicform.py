@@ -391,17 +391,20 @@ def slice_harmonicity_test(
     rho = check_stencil(r_values, theta_values, rho, circle_nodes)
     check_circle((), M)
     div = slice_divisor(F, zeta)
-    slice_rows = (div.pair.g.row, div.pair.h.row, div.logroots(math.inf))
+    g, h, poles = div.pair.g.row, div.pair.h.row, div.logroots(math.inf)
 
     def totals(rings: list[tuple[float, Sequence[float]]]) -> list[np.ndarray]:
         distinct = dict.fromkeys(theta for _, thetas in rings for theta in thetas)
         columns = {theta: col for col, theta in enumerate(distinct)}
-        stacked = [np.repeat(a, len(rings), axis=0) for a in slice_rows]
+        count = len(rings)
         radii = np.array([radius for radius, _ in rings])
-        values = star_rows(*stacked, radii, list(columns), M)
+        values = star_rows(
+            np.repeat(g, count, axis=0), np.repeat(h, count, axis=0),
+            np.repeat(poles, count, axis=1), radii, list(columns), M,
+        )
         sizes = [len(thetas) for _, thetas in rings]
         cols = [columns[theta] for _, thetas in rings for theta in thetas]
-        flat = values[cols, np.repeat(np.arange(len(rings)), sizes)][:, None]
+        flat = values[cols, np.repeat(np.arange(count), sizes)][:, None]
         return [flat[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
 
     diffs = mean_value_differences(r_values, theta_values, rho, circle_nodes, totals)

@@ -13,6 +13,11 @@ counting functions (``big_N_rows``, ``small_n_rows``)
     N(r, a)  =  integral of n(t,a)/t from 0 to r
              =  sum of m_j * log(r / |z_j|) over |z_j| <= r   (exact form).
 
+Root log-moduli are stored root-major, a C-contiguous (D, rows) array with
+one column per row (``log_moduli``), so the counting functions work along
+axis 0: one vectorised add per root slot, in slot order, not one reduce per
+row.
+
 The single-slice API runs them on a batch of one.  ``slice_divisor`` cancels
 common roots (a shared root is a removable factor of the slice, not an
 a-point); the sphere averages skip such directions instead.  A
@@ -192,16 +197,19 @@ def circle_log_values(g_coef: np.ndarray, h_coef: np.ndarray, w: np.ndarray) -> 
 
 
 def log_moduli(roots: np.ndarray) -> np.ndarray:
-    """log|z| of NaN-padded roots, with +inf for the padding."""
+    """log|z| of the NaN-padded roots of each row, root-major: a C-contiguous
+    (D, rows) array, column i holding row i's, with +inf for the padding."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        lm = np.log(np.abs(roots))
-    return np.where(np.isnan(lm), np.inf, lm)
+        lm = np.log(np.abs(roots).T, order="C")
+    lm[np.isnan(lm)] = np.inf
+    return lm
 
 
 def check_positive(value: float, name: str) -> None:
-    """A radius r or a scale t of the counting functions is positive."""
-    if value <= 0:
-        raise ValueError(f"{name} must be positive")
+    """A radius r or a scale t of the counting functions is positive and
+    finite; NaN is neither."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
 def check_target(a: float) -> None:
@@ -217,15 +225,28 @@ def a_points(a: float, zeros, poles):
 
 
 def big_N_rows(logroots: np.ndarray, r) -> np.ndarray:
-    """N(r) per row: sum of log(r/|z_j|) over the roots inside |z| <= r, for
-    one radius r or an array of one radius per row."""
-    log_r = math.log(r) if np.ndim(r) == 0 else np.array([math.log(x) for x in r])[:, None]
-    return np.maximum(log_r - logroots, 0.0).sum(axis=1)
+    """N(r) per row of the root-major (D, rows) log-moduli: sum of
+    log(r/|z_j|) over the roots inside |z| <= r, for one radius r or an
+    array of one radius per row.
+
+    The root slots are added strictly in order, slot 0 first, one
+    vectorised add per slot over all rows, so a row's value depends on its
+    own column alone, in a batch of one too (where numpy's ``sum(axis=0)``
+    would reduce a lone column of 8 or more slots pairwise).
+    """
+    log_r = math.log(r) if np.ndim(r) == 0 else np.array([math.log(x) for x in r])
+    terms = log_r - logroots
+    np.maximum(terms, 0.0, out=terms)
+    total = np.zeros(logroots.shape[1])
+    for slot in terms:
+        total += slot
+    return total
 
 
 def small_n_rows(logroots: np.ndarray, t: float) -> np.ndarray:
-    """n(t) per row: the number of roots with |z| <= t."""
-    return (logroots <= math.log(t)).sum(axis=1).astype(float)
+    """n(t) per row of the root-major (D, rows) log-moduli: the number of
+    roots with |z| <= t."""
+    return (logroots <= math.log(t)).sum(axis=0).astype(float)
 
 
 def inclusion_radii(coef: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -405,8 +426,7 @@ class CountingRecord:
     big_N: float
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("radius must be positive")
+        check_positive(self.r, "radius")
         check_target(self.a)
         if self.small_n < 0 or self.big_N < -1e-12:
             raise ValueError("counting functions are nonnegative")
@@ -426,9 +446,19 @@ class SliceDivisor:
 
     def logroots(self, a: float) -> np.ndarray:
         """log|z| of the a-points (zeros for a = 0, poles for a = inf), one
-        entry per unit of multiplicity, as a one-row batch."""
-        flat = [z for z, m in a_points(a, self.zeros, self.poles) for _ in range(m)]
-        return log_moduli(np.array(flat, dtype=complex).reshape(1, -1))
+        entry per unit of multiplicity, as a one-row batch: a read-only
+        (D, 1) column, built on first use and kept with the divisor."""
+        return a_points(a, *self._logroot_columns)
+
+    @cached_property
+    def _logroot_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        columns = []
+        for points in (self.zeros, self.poles):
+            flat = [z for z, m in points for _ in range(m)]
+            column = log_moduli(np.array(flat, dtype=complex).reshape(1, -1))
+            column.setflags(write=False)
+            columns.append(column)
+        return columns[0], columns[1]
 
     def big_N(self, r: float, a: float) -> float:
         return float(big_N_rows(self.logroots(a), r)[0])
@@ -455,7 +485,7 @@ def roots_in_disk(u: UniPoly, t: float) -> RootSet:
     """All roots of u with |z| <= t, clustered by their inclusion discs."""
     if u.is_zero:
         raise ValueError("roots of the zero polynomial are undefined")
-    if t < 0:
+    if not t >= 0:  # NaN is not a radius
         raise ValueError("disk radius must be nonnegative")
     raw = batched_roots(u.row)
     clusters = [(z, m) for z, m in _clusters(raw[0], _meeting(u.row, raw)[0]) if abs(z) <= t]

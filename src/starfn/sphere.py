@@ -76,14 +76,16 @@ class AllDirectionsSkippedError(RuntimeError):
 class SliceBatch:
     """The slices F_zeta of a sample's kept (non-indeterminate) directions.
 
-    One row per kept direction: ascending coefficients of g and h, and the
-    log-moduli of their roots (+inf padding).  The arrays are read-only.
+    One row per kept direction: ascending coefficients of g and h, and one
+    column per kept direction: the log-moduli of their roots (+inf padding),
+    root-major as ``slicing.log_moduli`` stores them, so that the counting
+    functions add one root slot at a time.  The arrays are read-only.
     """
 
     total: int
     g_coef: np.ndarray  # (kept, deg_g+1) complex
     h_coef: np.ndarray
-    g_logroots: np.ndarray  # (kept, deg_g) float
+    g_logroots: np.ndarray  # (deg_g, kept) float, C-contiguous
     h_logroots: np.ndarray
 
     def __post_init__(self):
@@ -282,8 +284,8 @@ def lelong_number(F: MeroFunction, t: float, a: float, sample: DirectionSample) 
 
 def check_grid(r_values: Sequence[float], theta_values: Sequence[float], M: int) -> None:
     """star_grid's checks of the axes and M, for callers to make before costly work."""
-    if any(r <= 0 for r in r_values):
-        raise ValueError("radii must be positive")
+    for r in r_values:
+        check_positive(r, "radii")
     _check_sorted(r_values, theta_values)
     check_circle(theta_values, M)
 
@@ -333,8 +335,8 @@ def check_stencil(
 ) -> float:
     """mean_value_differences's checks, for callers to make before costly
     work: the grid, the circle nodes and the test disks.  Returns rho."""
-    if any(r <= 0 for r in r_values):
-        raise ValueError("radii must be positive")
+    for r in r_values:
+        check_positive(r, "radii")
     _check_sorted(r_values, theta_values)
     if len(r_values) < 3 or len(theta_values) < 3:
         raise ValueError("need at least a 3x3 grid for interior points")
@@ -342,8 +344,7 @@ def check_stencil(
         raise ValueError("need at least 4 circle nodes")
     if rho is None:
         rho = default_rho(r_values, theta_values)
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    check_positive(rho, "rho")
     for r in r_values[1:-1]:
         for th in theta_values[1:-1]:
             if r * math.sin(th) <= rho:

@@ -74,8 +74,8 @@ import numpy as np
 
 from .funcdef import MeroFunction
 from .slicing import (
-    MIN_NODES, Direction, big_N_rows, circle_log_values, circle_values, midpoint_angles,
-    slice_divisor, unit_nodes,
+    MIN_NODES, Direction, big_N_rows, check_positive, circle_log_values, circle_values,
+    midpoint_angles, slice_divisor, unit_nodes,
 )
 
 __all__ = [
@@ -126,8 +126,7 @@ class CircleSamples:
     clipped: int
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError("radius must be positive")
+        check_positive(self.r, "radius")
         if self.M < MIN_NODES:
             raise ValueError(f"need at least {MIN_NODES} samples")
         vals = np.asarray(self.values, dtype=float)
@@ -316,8 +315,9 @@ def _thread_count(blocks: int) -> int:
 def star_rows(
     g_coef: np.ndarray, h_coef: np.ndarray, pole_logroots: np.ndarray, r, thetas, M: int
 ) -> np.ndarray:
-    """T* = F* + N(r, inf) at each theta for the slices g_coef/h_coef with
-    poles at log-moduli pole_logroots, one per row: array (len(thetas), rows).
+    """T* = F* + N(r, inf) at each theta for the slices g_coef/h_coef, one
+    per row, with poles at log-moduli pole_logroots, one per column (the
+    root-major (D, rows) layout of ``big_N_rows``): array (len(thetas), rows).
     r is one radius for every row or an array of one radius per row; a row's
     values are those of a call with its radius alone.  Rows run in blocks of
     BLOCK_CELLS samples; each of ``_thread_count`` threads claims the next

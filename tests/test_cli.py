@@ -327,12 +327,16 @@ def test_bad_values_are_rejected_before_sampling(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("starfn.cli.sample_directions", no_sampling)
     cases = [
-        (["star", "--fn", fn, "--r", "0", "--theta", "1"], "r must be positive"),
+        (["star", "--fn", fn, "--r", "0", "--theta", "1"], "r must be positive and finite"),
         (["counting", "--fn", fn, "--r", "1", "--a", "2"], "target a must be 0 or inf"),
-        (["lelong", "--fn", fn, "--t", "0", "--a", "0"], "t must be positive"),
-        (["grid", "--fn", fn, "--r-min", "0"], "radii must be positive"),
+        (["counting", "--fn", fn, "--r", "nan", "--a", "0"], "r must be positive and finite"),
+        (["star", "--fn", fn, "--r", "inf", "--theta", "1"], "r must be positive and finite"),
+        (["lelong", "--fn", fn, "--t", "nan", "--a", "0"], "t must be positive and finite"),
+        (["grid", "--fn", fn, "--r-max", "inf"], "radii must be positive and finite"),
+        (["lelong", "--fn", fn, "--t", "0", "--a", "0"], "t must be positive and finite"),
+        (["grid", "--fn", fn, "--r-min", "0"], "radii must be positive and finite"),
         (["grid", "--fn", fn, "--circle", "8"], "M must be at least 16, got 8"),
-        (["check", "subharmonic", "--fn", fn, "--r-min", "-1"], "radii must be positive"),
+        (["check", "subharmonic", "--fn", fn, "--r-min", "-1"], "radii must be positive and finite"),
         (["check", "subharmonic", "--fn", fn, "--r-steps", "2"],
          "need at least a 3x3 grid for interior points"),
         (["check", "subharmonic", "--fn", fn, "--circle", "8"], "M must be at least 16, got 8"),

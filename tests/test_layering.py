@@ -5,10 +5,12 @@ A module may use another starfn module only through its public
 and only the modules before it in LAYERS, the order the package docstring
 lists them in.  Every name a package or test module imports is used.
 Threads live in ``starcore`` alone: no other module reads STARFN_THREADS or
-imports ``concurrent.futures``.
+imports ``concurrent.futures``.  The package depends on numpy alone: it
+imports nothing else outside the standard library and itself.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,23 @@ def _thread_uses(path: Path) -> list[str]:
     return found
 
 
+def _third_party_imports(path: Path) -> list[str]:
+    """Modules outside the standard library, numpy and starfn that path imports."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            top = name.partition(".")[0]
+            if top not in sys.stdlib_module_names and top not in ("numpy", "starfn"):
+                found.append(f"{path.name}:{node.lineno} imports {name}")
+    return found
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names that path imports but never reads and does not list in __all__."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -127,6 +146,11 @@ def test_only_starcore_uses_threads():
     uses = {path.stem: _thread_uses(path) for path in MODULES}
     assert len(uses.pop("starcore")) == 2
     assert [line for found in uses.values() for line in found] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library_and_numpy(path):
+    assert _third_party_imports(path) == []
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from starfn.slicing import (
     SlicePair,
     UniPoly,
     batched_roots,
+    big_N_rows,
     circle_log_values,
     circle_values,
     counting_big_N,
@@ -25,6 +26,7 @@ from starfn.slicing import (
     roots_in_disk,
     slice_coefficients,
     slice_divisor,
+    small_n_rows,
 )
 from starfn.starcore import circle_log_samples, slice_star_total
 
@@ -150,6 +152,12 @@ def test_roots_in_disk_total_multiplicity_is_degree():
 def test_roots_in_disk_rejects_zero_poly():
     with pytest.raises(ValueError):
         roots_in_disk(UniPoly(()), 1.0)
+
+
+def test_roots_in_disk_rejects_a_radius_that_is_not_nonnegative():
+    for t in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="disk radius must be nonnegative"):
+            roots_in_disk(UniPoly((1, 2)), t)
 
 
 def test_counting_small_n_pole_thresholds():
@@ -310,6 +318,57 @@ def test_counting_record_validation():
         CountingRecord(r=1.0, a=2.0, small_n=0, big_N=0.0)
     with pytest.raises(ValueError):
         CountingRecord(r=-1.0, a=0.0, small_n=0, big_N=0.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_single_slice_counting_rejects_a_radius_that_is_not_positive_and_finite(value):
+    zeta = Direction((0.6, 0.8))
+    for call in (
+        lambda: counting_record(F_RATIO, zeta, value, 0),
+        lambda: counting_big_N(F_RATIO, zeta, value, math.inf),
+        lambda: counting_small_n(F_RATIO, zeta, value, 0),
+        lambda: jensen_residual(F_RATIO, zeta, value, 256),
+        lambda: slice_star_total(F_RATIO, zeta, value, 1.0, 256),
+        lambda: CountingRecord(r=value, a=0.0, small_n=0, big_N=0.0),
+    ):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            call()
+
+
+@pytest.mark.parametrize("D", range(1, 13))
+def test_counting_rows_add_the_root_slots_in_order(D):
+    # the log-moduli are root-major, (D, rows), and big_N_rows adds a row's
+    # slots strictly left to right for every D.  Up to 7 slots, numpy's
+    # per-row sum of the old (rows, D) layout adds in the same order, so
+    # those rows keep their bits; from 8 slots on it sums pairwise, and the
+    # two may differ by a few ulps
+    rng = np.random.default_rng(D)
+    rows = 300
+    logroots = rng.uniform(-2.0, 2.0, (D, rows))
+    logroots[rng.random((D, rows)) < 0.2] = math.inf  # the padding of lower degrees
+    row_major = np.ascontiguousarray(logroots.T)
+    for r in (0.3, 0.5, 1.0, 2.0, 5.0, rng.uniform(0.3, 5.0, rows)):
+        radii = np.broadcast_to(r, rows).tolist()
+        log_r = np.array([math.log(x) for x in radii])
+        want = []
+        for column, lr in zip(logroots.T.tolist(), log_r.tolist()):
+            total = 0.0
+            for x in column:
+                total += max(lr - x, 0.0)
+            want.append(total)
+        got = big_N_rows(logroots, r)
+        assert got.tolist() == want
+        for i in range(0, rows, 23):  # a batch of one column keeps the bits
+            assert big_N_rows(logroots[:, i : i + 1], radii[i])[0] == got[i]
+        old = np.maximum(log_r[:, None] - row_major, 0.0).sum(axis=1)
+        if D <= 7:
+            assert np.array_equal(got, old)
+        else:
+            assert np.allclose(got, old, rtol=4 * D * np.finfo(float).eps, atol=0.0)
+        if np.ndim(r) == 0:
+            counts = small_n_rows(logroots, r)
+            assert np.array_equal(counts, (row_major <= math.log(r)).sum(axis=1))
+            assert counts.tolist() == [sum(x <= math.log(r) for x in c) for c in logroots.T.tolist()]
 
 
 def test_batch_of_one_gives_the_bits_of_its_row_in_a_batch():

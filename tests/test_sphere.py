@@ -7,9 +7,11 @@ from starfn.funcdef import MeroFunction, MultiPoly, linear_form, parse_function
 from starfn.slicing import (
     Direction,
     batched_roots,
+    big_N_rows,
     counting_record,
     indeterminacy_test,
     slice_divisor,
+    small_n_rows,
 )
 from starfn.sphere import (
     AllDirectionsSkippedError,
@@ -17,6 +19,7 @@ from starfn.sphere import (
     Estimate,
     SliceBatch,
     StarGrid,
+    check_grid,
     check_stencil,
     counting_several,
     lelong_number,
@@ -30,6 +33,12 @@ from starfn.starcore import slice_star_total, star_rows
 
 RATIO = parse_function("(1 - z1) / (1 - z2)", 2)
 ONE_PLUS_Z1 = parse_function("1 + z1", 2)
+#: a denominator of degree 8 in z1 and z2 whose slices have nine simple poles
+NINE_POLES = parse_function(
+    "1/(1 - 0.4*z1 + 0.3*z2 + 0.2*z1^2 - 0.5*z1*z2 + 0.1*z2^2 + 0.35*z1^3*z2 - 0.25*z2^4"
+    " + 0.15*z1^5 + 0.2*z1^2*z2^3 - 0.3*z1^7 + 0.4*z1^4*z2^4 + 0.6*z2^8 - 0.45*z1^5*z2^4)",
+    2,
+)
 
 # E[log+(2|zeta_1|)] for uniform zeta on S^3: |zeta_1|^2 ~ Uniform(0,1), so
 # the mean is (1/2) * int_{1/4}^{1} log(4u) du = log 2 - 3/8.
@@ -248,6 +257,42 @@ def test_bad_arguments_raise_before_the_ensemble_is_built():
         star_grid(shared_root, (1.0, 2.0), (0.5, 1.0), sample, M=8)
     with pytest.raises(ValueError):
         subharmonicity_stats(shared_root, (0.5, 1.0, 1.5), (0.5, 1.0, 1.5), sample, M=8)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_sphere_averages_reject_a_radius_that_is_not_positive_and_finite(value):
+    sample = sample_directions(2, 8, seed=2)
+    for call in (
+        lambda: counting_several(RATIO, value, 0, sample),
+        lambda: lelong_number(RATIO, value, 0, sample),
+        lambda: star_several(RATIO, value, 1.0, sample, M=64),
+        lambda: star_grid(RATIO, (0.5, value), (0.5, 1.0), sample, M=64),
+        lambda: check_grid((value,), (0.5, 1.0), 64),
+        lambda: check_stencil((0.5, 1.0, value), GRID_TH, None, 8),
+        lambda: check_stencil(GRID_R, GRID_TH, value, 8),  # rho
+    ):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            call()
+
+
+def test_a_single_slice_counts_with_the_bits_of_its_batch_row_past_eight_poles():
+    # one slice engine: a direction's SliceDivisor gives N and n of its row
+    # in the sample's batch.  The divisor lists its poles by modulus, so N
+    # is compared on the batch's columns in that order; the rows have nine
+    # pole slots, past the 7 that numpy's per-row sum adds in order, and
+    # both paths add the slots left to right
+    sample = sample_directions(2, 40, seed=3)
+    batch = sample.slices(NINE_POLES)
+    assert batch.h_logroots.shape == (9, 40)
+    divisors = [slice_divisor(NINE_POLES, Direction(tuple(row))) for row in sample.directions]
+    assert all([m for _, m in div.poles] == [1] * 9 for div in divisors)
+    ordered = np.sort(batch.h_logroots, axis=0)
+    for r in (0.5, 1.0, 2.0, 5.0):
+        big_N, small_n = big_N_rows(ordered, r), small_n_rows(batch.h_logroots, r)
+        for i, div in enumerate(divisors):
+            assert div.big_N(r, math.inf) == big_N[i]
+            assert div.small_n(r, math.inf) == small_n[i]
+    assert (small_n >= 8).sum() > 20  # at r = 5 most rows count 8 or 9 poles
 
 
 def test_sphere_averages_reject_too_few_circle_nodes():
@@ -559,6 +604,13 @@ def test_slice_batch_arrays_are_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 0.0
+    # the log-moduli are root-major: one column per kept row, C-contiguous
+    cubic = parse_function("(1 + z1^2 - 0.5*z2) / (1 - z1*z2 + 0.3*z2^3)", 2)
+    for batch in (batch, sample_directions(2, 20, seed=43).slices(cubic)):
+        for coef, logroots in ((batch.g_coef, batch.g_logroots), (batch.h_coef, batch.h_logroots)):
+            assert logroots.shape == (coef.shape[1] - 1, batch.kept)
+            assert logroots.flags.c_contiguous
+    assert (batch.g_logroots.shape, batch.h_logroots.shape) == ((2, 20), (3, 20))
 
 
 def test_thread_env_does_not_change_results(monkeypatch):

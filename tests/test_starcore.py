@@ -297,6 +297,7 @@ POLYNOMIAL = parse_function("1 + z1 + 2*z2 + 0.25*z1^2 + z1*z2 + z2^2", 2)
 
 
 def _slice_rows(F, dirs):
+    """Coefficient rows of g and h, and the pole log-moduli root-major."""
     g = slice_coefficients(F.numerator, dirs)
     h = slice_coefficients(F.denominator, dirs)
     return g, h, log_moduli(batched_roots(h))
@@ -370,7 +371,7 @@ def test_a_row_of_star_rows_does_not_depend_on_its_batch_or_threads(monkeypatch)
         picked = [(7, edge, edge + 1), (rows // 2,), (rows - 1,)]
         for (g, h, poles), batch, rows_picked in zip(batches, results["1"], picked):
             for i in rows_picked:
-                one = star_rows(g[i : i + 1], h[i : i + 1], poles[i : i + 1], r, thetas, M)
+                one = star_rows(g[i : i + 1], h[i : i + 1], poles[:, i : i + 1], r, thetas, M)
                 assert np.array_equal(one[:, 0], batch[:, i])
 
 
@@ -478,9 +479,9 @@ def test_star_rows_with_a_radius_per_row_gives_each_row_its_own_call(monkeypatch
             got = star_rows(g, h, poles, radii, thetas, M)
             big_N = big_N_rows(poles, radii)
             for i, r in enumerate(radii.tolist()):
-                one = star_rows(g[i : i + 1], h[i : i + 1], poles[i : i + 1], r, thetas, M)
+                one = star_rows(g[i : i + 1], h[i : i + 1], poles[:, i : i + 1], r, thetas, M)
                 assert np.array_equal(got[:, i], one[:, 0])
-                assert big_N[i] == big_N_rows(poles[i : i + 1], r)[0]
+                assert big_N[i] == big_N_rows(poles[:, i : i + 1], r)[0]
 
 
 @pytest.mark.parametrize("F", [RATIONAL, EQUAL_DEGREES], ids=["unequal", "equal"])
@@ -532,7 +533,7 @@ def test_star_rows_memory_does_not_grow_with_the_block_at_large_M(monkeypatch):
     # block (17 MB); each thread holds the temporaries of its own block
     M, thetas = 8192, [0.4, math.pi / 2, 2.9]
     g, h, poles = _slice_rows(RATIONAL, sample_directions(2, 2000, seed=6).directions)
-    star_rows(g[:1], h[:1], poles[:1], 1.3, thetas, M)  # fill the per-M caches
+    star_rows(g[:1], h[:1], poles[:, :1], 1.3, thetas, M)  # fill the per-M caches
     peaks = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("STARFN_THREADS", threads)
