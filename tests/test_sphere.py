@@ -606,11 +606,12 @@ def test_slice_batch_arrays_are_read_only():
             array[0, 0] = 0.0
     # the log-moduli are root-major: one column per kept row, C-contiguous
     cubic = parse_function("(1 + z1^2 - 0.5*z2) / (1 - z1*z2 + 0.3*z2^3)", 2)
-    for batch in (batch, sample_directions(2, 20, seed=43).slices(cubic)):
-        for coef, logroots in ((batch.g_coef, batch.g_logroots), (batch.h_coef, batch.h_logroots)):
-            assert logroots.shape == (coef.shape[1] - 1, batch.kept)
+    wider = sample_directions(2, 20, seed=43).slices(cubic)
+    assert (wider.g_logroots.shape, wider.h_logroots.shape) == ((2, 20), (3, 20))
+    for b in (batch, wider):
+        for coef, logroots in ((b.g_coef, b.g_logroots), (b.h_coef, b.h_logroots)):
+            assert logroots.shape == (coef.shape[1] - 1, b.kept)
             assert logroots.flags.c_contiguous
-    assert (batch.g_logroots.shape, batch.h_logroots.shape) == ((2, 20), (3, 20))
 
 
 def test_thread_env_does_not_change_results(monkeypatch):
