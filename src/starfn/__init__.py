@@ -10,7 +10,9 @@ single direction and a whole sample alike (a single slice is a batch of one):
   functions), slice divisors and the Jensen-identity residual.
 - ``starcore``: the circular rearrangement T* (sort, one top-k sum per
   theta), the one T* kernel ``star_rows`` over rows of slice coefficients,
-  and the single-slice star, sampled from the slice coefficients.
+  ``star_rings``, its block code on one slice at the (radius, theta) points
+  of a stencil, and the single-slice star, sampled from the slice
+  coefficients.
 - ``sphere``: Monte Carlo averages of T* and the counting data over the
   sphere of directions, and the mean-value stencil of the subharmonicity
   check.

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from math import comb, factorial
 from typing import Sequence
 
@@ -35,8 +34,8 @@ import numpy as np
 
 from .funcdef import MeroFunction, MultiPoly, linear_form, load_json_object
 from .slicing import Direction, horner_rows, make_slice, slice_coefficients, slice_divisor
-from .sphere import check_stencil, mean_value_differences
-from .starcore import check_circle, star_rows
+from .sphere import mean_value_differences
+from .starcore import check_circle, star_rings
 
 __all__ = [
     "HARMONIC_TOL",
@@ -381,31 +380,19 @@ def slice_harmonicity_test(
     True iff |circle mean - center| <= tol at every interior grid point.
     The subharmonic inequality always holds; equality at every point is the
     signature of a harmonic slice.  This is ``subharmonicity_stats``, stencil
-    and T* kernel, on the one direction zeta: the grid and M are checked
-    first, the poles are found once, and all rings are one ``star_rows``
-    call, with the slice once per ring radius as its rows and the distinct
-    thetas of all rings as its columns, read back in one gather.  A row's T*
-    at a theta depends on that row and theta alone, so each ring reads the
-    bits of a call of its own.
+    and T* kernel, on the one direction zeta: M is checked first, then the
+    grid, once (``mean_value_differences``), and only then are the poles
+    found.  All rings are one ``star_rings`` call, which evaluates and sorts
+    the slice's circle once per ring radius and sums only the ranks the
+    stencil reads, each value with the bits of a ``star_rows`` call of its
+    own ring.
     """
-    rho = check_stencil(r_values, theta_values, rho, circle_nodes)
     check_circle((), M)
-    div = slice_divisor(F, zeta)
-    g, h, poles = div.pair.g.row, div.pair.h.row, div.logroots(math.inf)
 
-    def totals(rings: list[tuple[float, Sequence[float]]]) -> list[np.ndarray]:
-        distinct = dict.fromkeys(theta for _, thetas in rings for theta in thetas)
-        columns = {theta: col for col, theta in enumerate(distinct)}
-        count = len(rings)
-        radii = np.array([radius for radius, _ in rings])
-        values = star_rows(
-            np.repeat(g, count, axis=0), np.repeat(h, count, axis=0),
-            np.repeat(poles, count, axis=1), radii, list(columns), M,
-        )
-        sizes = [len(thetas) for _, thetas in rings]
-        cols = [columns[theta] for _, thetas in rings for theta in thetas]
-        flat = values[cols, np.repeat(np.arange(count), sizes)][:, None]
-        return [flat[end - size : end] for size, end in zip(sizes, accumulate(sizes))]
+    def totals(rings: Sequence[tuple[float, Sequence[float]]]) -> list[np.ndarray]:
+        div = slice_divisor(F, zeta)
+        poles = div.logroots(math.inf)
+        return [star_rings(div.pair.g.row, div.pair.h.row, poles, rings, M)[:, None]]
 
     diffs = mean_value_differences(r_values, theta_values, rho, circle_nodes, totals)
     return bool(np.all(np.abs(diffs) <= tol))

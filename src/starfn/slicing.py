@@ -32,6 +32,7 @@ log|F(r e^{ix} zeta)|.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -84,6 +85,15 @@ class CircleProximityError(ValueError):
     """A slice root lies too close to the quadrature circle |z| = r."""
 
 
+def _finite_components(vec: Sequence[complex]) -> tuple[complex, ...]:
+    """vec as a tuple of complex numbers, which must all be finite: a NaN
+    norm would pass any norm check."""
+    comps = tuple(complex(c) for c in vec)
+    if not all(map(cmath.isfinite, comps)):
+        raise ValueError(f"direction {comps} has a non-finite component")
+    return comps
+
+
 @dataclass(frozen=True)
 class Direction:
     """A point zeta on the unit sphere of C^n.
@@ -102,7 +112,7 @@ class Direction:
     )
 
     def __post_init__(self):
-        comps = tuple(complex(c) for c in self.components)
+        comps = _finite_components(self.components)
         object.__setattr__(self, "components", comps)
         norm = math.sqrt(sum(abs(c) ** 2 for c in comps))
         if abs(norm - 1.0) > NORM_TOL:
@@ -111,7 +121,7 @@ class Direction:
     @classmethod
     def of(cls, vec: Sequence[complex]) -> "Direction":
         """Normalize an arbitrary nonzero vector onto the sphere."""
-        comps = [complex(c) for c in vec]
+        comps = _finite_components(vec)
         norm = math.sqrt(sum(abs(c) ** 2 for c in comps))
         if norm == 0:
             raise ValueError("cannot normalize the zero vector")

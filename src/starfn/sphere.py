@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -128,6 +129,10 @@ class DirectionSample:
         dirs = np.array(self.directions, dtype=complex)
         if self.count < 1 or dirs.shape != (self.count, self.n):
             raise ValueError("directions must be a (count, n) array with count >= 1")
+        finite = np.isfinite(dirs).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(f"direction {row} {tuple(dirs[row].tolist())} has a non-finite component")
         norms = np.sqrt((np.abs(dirs) ** 2).sum(axis=1))
         if np.any(np.abs(norms - 1.0) > NORM_TOL):
             raise ValueError(f"every direction must have norm 1 within {NORM_TOL}")
@@ -352,18 +357,55 @@ def check_stencil(
     return rho
 
 
+@dataclass(frozen=True, eq=False)
+class _Stencil:
+    """mean_value_differences's stencil on one checked grid.
+
+    ``rings`` are the (radius, thetas) pairs that ``totals`` gets: one per
+    distinct node radius, in order of first use, then one centre ring per
+    interior row.  ``slots`` holds per value, in ring order, its step and
+    its interior cell ii * (thetas - 2) + jj.  A node value's step is its
+    place among its cell's node values in ring order, 0..C-1, and a centre
+    value's is C.  A ring lists its thetas by step and cell, which keeps
+    each cell's order and makes a ring's runs of cells runs of rows too.
+    """
+
+    rings: tuple[tuple[float, tuple[float, ...]], ...]
+    slots: tuple[tuple[int, int], ...]
+    _plans: dict = field(default_factory=dict, repr=False)
+
+    def plan(self, lo: int, hi: int) -> list[tuple[int, slice, slice | np.ndarray]]:
+        """How values lo..hi-1, one array of ``totals``, reach their cells:
+        (step, cells, rows) in step order, one per run of consecutive cells
+        of one step, rows indexing the array (a slice where the run's rows
+        are consecutive too).  Kept per (lo, hi)."""
+        plan = self._plans.get((lo, hi))
+        if plan is None:
+            entries = sorted((step, cell, row) for row, (step, cell) in enumerate(self.slots[lo:hi]))
+            plan = []
+            # cell minus place in entries is constant along a run of consecutive cells
+            for (step, _), run in groupby(enumerate(entries), lambda e: (e[1][0], e[1][1] - e[0])):
+                _, cells, rows = zip(*(entry for _, entry in run))
+                consecutive = rows == tuple(range(rows[0], rows[-1] + 1))
+                rows = slice(rows[0], rows[-1] + 1) if consecutive else np.array(rows)
+                plan.append((step, slice(cells[0], cells[-1] + 1), rows))
+            self._plans[(lo, hi)] = plan
+        return plan
+
+
 @lru_cache(maxsize=8)
 def _stencil_rings(
-    r_values: tuple[float, ...], theta_values: tuple[float, ...], rho: float, circle_nodes: int
-) -> tuple[tuple[float, tuple[float, ...], tuple[tuple[int, int], ...]], ...]:
-    """The node rings of mean_value_differences's stencil on a checked grid:
-    per distinct node radius, in order of first use, (radius, thetas, cells)
-    with the interior cell (ii, jj) each theta's node belongs to.  Cached per
-    grid, so repeated tests on one grid lay their stencil out once."""
+    r_values: tuple[float, ...], theta_values: tuple[float, ...], rho: float | None, circle_nodes: int
+) -> _Stencil:
+    """The stencil of mean_value_differences on a grid, which it checks
+    (``check_stencil``; rho None takes the default).  Cached per grid, so
+    repeated tests on one grid check and lay out their stencil once."""
+    rho = check_stencil(r_values, theta_values, rho, circle_nodes)
     interior_r, interior_t = r_values[1:-1], theta_values[1:-1]
+    width = len(interior_t)
     psi = 2.0 * math.pi * np.arange(circle_nodes) / circle_nodes
     mirrored = np.arange(circle_nodes // 2 + 1, circle_nodes)
-    rings: dict[float, list[tuple[float, int, int]]] = {}
+    rings: dict[float, list[tuple[float, int]]] = {}
     for ii, r in enumerate(interior_r):
         q = r + rho * np.exp(1j * psi)
         q[mirrored] = q[circle_nodes - mirrored].conj()
@@ -374,11 +416,20 @@ def _stencil_rings(
                 th = th0 + float(alphas[c])
                 if not 0.0 <= th <= math.pi:
                     raise ValueError("circle node leaves the closed upper half-plane")
-                rings.setdefault(float(radii[c]), []).append((th, ii, jj))
-    return tuple(
-        (radius, tuple(e[0] for e in entries), tuple((ii, jj) for _, ii, jj in entries))
-        for radius, entries in rings.items()
-    )
+                rings.setdefault(float(radii[c]), []).append((th, ii * width + jj))
+    added = [0] * (len(interior_r) * width)
+    layout, slots = [], []
+    for radius, entries in rings.items():
+        stepped = []
+        for th, cell in entries:
+            stepped.append((added[cell], cell, th))
+            added[cell] += 1
+        stepped.sort()
+        layout.append((radius, tuple(th for _, _, th in stepped)))
+        slots += [(step, cell) for step, cell, _ in stepped]
+    layout += [(r, interior_t) for r in interior_r]
+    slots += [(circle_nodes, cell) for cell in range(len(added))]
+    return _Stencil(tuple(layout), tuple(slots))
 
 
 def mean_value_differences(
@@ -386,7 +437,7 @@ def mean_value_differences(
     theta_values: Sequence[float],
     rho: float | None,
     circle_nodes: int,
-    totals: Callable[[list[tuple[float, Sequence[float]]]], Iterable[np.ndarray]],
+    totals: Callable[[Sequence[tuple[float, Sequence[float]]]], Iterable[np.ndarray]],
 ) -> np.ndarray:
     """Circle mean minus centre value of T* at every interior grid point.
 
@@ -395,32 +446,41 @@ def mean_value_differences(
     radii |r + rho e^{2 pi i c/C}| are shared along grid rows and one circle
     evaluation serves a radius.  Node c > C/2 is taken as the exact conjugate
     of node C - c, so mirrored nodes share their radius bit for bit.  The
-    layout of the rings is cached per grid (``_stencil_rings``).
+    grid is checked and its stencil laid out once per grid
+    (``_stencil_rings``), before ``totals`` is called.
     ``totals(rings)`` takes every ring, a (radius, thetas) pair, the node
-    radii first and then one centre ring per interior row, and returns T* at
-    each ring's (radius, theta) as arrays (len(thetas), columns), one column
-    per direction, in ring order; they are read one at a time and added to
-    their cells row by row.  The result has shape
+    radii first and then one centre ring per interior row, and returns T*
+    at each ring's (radius, theta) in ring order, as arrays (values,
+    columns) that each hold one or more whole rings, one column per
+    direction.  An array reaches the cells in one vectorised add per run of
+    cells (``_Stencil.plan``), and every cell adds its node values in ring
+    order, as a loop over the rings would; then its sum is divided by C and
+    its centre value subtracted, in place.  The result has shape
     (rows - 2, thetas - 2, columns).
     """
     r_values = tuple(float(r) for r in r_values)
     theta_values = tuple(float(t) for t in theta_values)
-    rho = check_stencil(r_values, theta_values, rho, circle_nodes)
-    rings = _stencil_rings(r_values, theta_values, rho, circle_nodes)
-    interior_r, interior_t = r_values[1:-1], theta_values[1:-1]
-    results = iter(totals(
-        [(radius, thetas) for radius, thetas, _ in rings] + [(r, interior_t) for r in interior_r]
-    ))
+    stencil = _stencil_rings(r_values, theta_values, rho, circle_nodes)
+    shape = (len(r_values) - 2, len(theta_values) - 2)
     acc = None
-    for _, _, cells in rings:
-        ring = next(results)
+    lo = 0
+    for values in totals(stencil.rings):
+        hi = lo + values.shape[0]
         if acc is None:
-            acc = np.zeros((len(interior_r), len(interior_t), ring.shape[1]))
-        for row, (ii, jj) in zip(ring, cells):
-            acc[ii, jj] += row
-    for ii in range(len(interior_r)):
-        acc[ii] = acc[ii] / circle_nodes - next(results)
-    return acc
+            acc = np.zeros((shape[0] * shape[1], values.shape[1]))
+        # a centre value comes after its cell's node values: centre rings
+        # are last, and a plan runs in step order
+        for step, cells, rows in stencil.plan(lo, hi):
+            part = acc[cells]
+            if step < circle_nodes:
+                part += values[rows]
+            else:
+                part /= circle_nodes
+                part -= values[rows]
+        lo = hi
+    if lo != len(stencil.slots):
+        raise ValueError("totals must return the values of every ring")
+    return acc.reshape(shape + (-1,))
 
 
 def subharmonicity_stats(

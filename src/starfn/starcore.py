@@ -19,7 +19,10 @@ agreement is one of the package's standing cross-checks.
 rank k, and ``star_rows``, the one T* kernel, runs it on the slice
 coefficients of all sampled directions or of a single one, in blocks of
 ``BLOCK_CELLS`` samples: 512 rows at M = 192, 96 at M = 1024, 24 at
-M = 4096.  A block's temporaries must fit one core's L2 cache (2 MiB on the
+M = 4096.  ``star_rings`` runs the same blocks (``_run_blocks``) and circle
+code (``_sorted_rows``) on one slice, one row per ring radius of a
+stencil, and sums only the (ring, rank) pairs that the stencil's thetas
+read.  A block's temporaries must fit one core's L2 cache (2 MiB on the
 2-core host the size was measured on), and a block must be large enough
 that its ~130 short numpy calls, each of which hands the GIL to the other
 threads, do not spend the call in those hand-offs; 256-row blocks did (see
@@ -56,9 +59,9 @@ on, and never more than the blocks.  Each thread runs one task that claims
 the next unclaimed block until none is left, so a thread whose core is busy
 elsewhere leaves its blocks to the others rather than holding up the call.
 The pool lives for the call alone, and a one-block call starts no thread;
-``slice_harmonicity_test``'s call, one row per ring radius, is one block up
-to M = 4096.  numpy releases the GIL inside its array loops, and every
-row's bits are those of the serial call.
+``slice_harmonicity_test``'s ``star_rings`` call, one row per ring radius,
+is one block up to M = 4096.  numpy releases the GIL inside its array
+loops, and every row's bits are those of the serial call.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -90,6 +94,7 @@ __all__ = [
     "star_rearranged",
     "check_circle",
     "star_rows",
+    "star_rings",
     "level_threshold",
     "star_thresholded",
     "slice_star_total",
@@ -129,11 +134,14 @@ class CircleSamples:
         check_positive(self.r, "radius")
         if self.M < MIN_NODES:
             raise ValueError(f"need at least {MIN_NODES} samples")
+        if self.clipped < 0:
+            raise ValueError(f"clipped must be >= 0, got {self.clipped}")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.M,):
             raise ValueError("values must have length M")
-        if vals.min() < LOG_FLOOR or vals.max() > LOG_CEILING:
-            raise ValueError("values outside the clamp bounds")
+        # min and max are NaN if any value is, and NaN fails both tests
+        if not (vals.min() >= LOG_FLOOR and vals.max() <= LOG_CEILING):
+            raise ValueError("values must be finite and inside the clamp bounds")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -151,8 +159,9 @@ class RearrangedProfile:
 
     def __post_init__(self):
         sv = np.asarray(self.sorted_values, dtype=float)
-        if np.any(np.diff(sv) > 0):
-            raise ValueError("sorted_values must be nonincreasing")
+        # NaN fails every comparison: with a neighbour, and a lone one with itself
+        if not (np.all(np.diff(sv) <= 0) and (sv.size != 1 or sv[0] == sv[0])):
+            raise ValueError("sorted_values must be nonincreasing and hold no NaN")
         sv.setflags(write=False)
         object.__setattr__(self, "sorted_values", sv)
 
@@ -205,6 +214,21 @@ def split_theta(theta: float, M: int) -> tuple[int, float]:
     if k >= M:
         return M, 0.0
     return k, s - k
+
+
+def _split_thetas(thetas: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """``split_theta`` of every entry of a float array, with its bits: the
+    ranks k as integers and the fractions."""
+    inside = (thetas >= 0) & (thetas <= math.pi)
+    if not inside.all():
+        raise ValueError(f"theta={thetas[~inside][0]} outside [0, pi]")
+    s = thetas * M / math.pi
+    k = np.floor(s)
+    frac = s - k
+    end = k >= M
+    k[end] = M
+    frac[end] = 0.0
+    return k.astype(int), frac
 
 
 def _top_means(asc: np.ndarray, thetas) -> np.ndarray:
@@ -312,44 +336,35 @@ def _thread_count(blocks: int) -> int:
     return max(1, min(cpus, blocks))
 
 
-def star_rows(
-    g_coef: np.ndarray, h_coef: np.ndarray, pole_logroots: np.ndarray, r, thetas, M: int
-) -> np.ndarray:
-    """T* = F* + N(r, inf) at each theta for the slices g_coef/h_coef, one
-    per row, with poles at log-moduli pole_logroots, one per column (the
-    root-major (D, rows) layout of ``big_N_rows``): array (len(thetas), rows).
-    r is one radius for every row or an array of one radius per row; a row's
-    values are those of a call with its radius alone.  Rows run in blocks of
-    BLOCK_CELLS samples; each of ``_thread_count`` threads claims the next
-    unclaimed block until none is left.  A row's arithmetic does not depend
-    on its block, so neither does the result.  The values log(|g|^2/|h|^2)
-    (module docstring) are halved after the bathtub."""
-    nodes = unit_nodes(M)
-    rows = g_coef.shape[0]
-    out = np.empty((len(thetas), rows))
+def _sorted_rows(g_coef: np.ndarray, h_coef: np.ndarray, r, M: int) -> np.ndarray:
+    """2 log|g/h| at the M midpoint angles for the slices g_coef/h_coef, one
+    per row, each row sorted ascending: from |g|^2/|h|^2 where both rows
+    pass the gate, else from Horner's rule, sanitized and doubled.  r is one
+    radius or an array of one radius per row."""
+    n = g_coef.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p, p_ok = _circle_abs2(g_coef, r, M)
+        q, q_ok = _circle_abs2(h_coef, r, M)
+        ok = p_ok & q_ok
+        # the quotient overwrites p, or q where g is constant (p is then a
+        # column), so a block holds one (n, M) array less
+        vals = p if p.shape[1] == M else q if q.shape[1] == M else np.empty((n, M))
+        np.divide(p, q, out=vals)
+        np.log(vals, out=vals)
+    if not ok.all():
+        bad = ~ok
+        w = (r[bad, None] if np.ndim(r) else r) * unit_nodes(M)
+        fallback, _ = sanitize_log_values(circle_log_values(g_coef[bad], h_coef[bad], w))
+        vals[bad] = 2.0 * fallback
+    vals.sort(axis=-1)
+    return vals
+
+
+def _run_blocks(rows: int, M: int, block) -> None:
+    """block(lo, hi) over rows 0..rows-1 in blocks of BLOCK_CELLS samples;
+    each of ``_thread_count`` threads claims the next unclaimed block until
+    none is left, and a one-block call starts no thread."""
     chunk = max(1, BLOCK_CELLS // M)
-    per_row = np.ndim(r) != 0
-
-    def block(lo: int, hi: int) -> None:
-        g, h, n = g_coef[lo:hi], h_coef[lo:hi], hi - lo
-        radius = r[lo:hi] if per_row else r
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            p, p_ok = _circle_abs2(g, radius, M)
-            q, q_ok = _circle_abs2(h, radius, M)
-            ok = p_ok & q_ok
-            # the quotient overwrites p, or q where g is constant (p is then
-            # a column), so a block holds one (n, M) array less
-            vals = p if p.shape[1] == M else q if q.shape[1] == M else np.empty((n, M))
-            np.divide(p, q, out=vals)
-            np.log(vals, out=vals)
-        if not ok.all():
-            bad = ~ok
-            w = (radius[bad, None] if per_row else radius) * nodes
-            fallback, _ = sanitize_log_values(circle_log_values(g[bad], h[bad], w))
-            vals[bad] = 2.0 * fallback
-        vals.sort(axis=-1)
-        out[:, lo:hi] = _top_means(vals, thetas)
-
     starts = iter(range(0, rows, chunk))
     claim = threading.Lock()
 
@@ -370,9 +385,86 @@ def star_rows(
                 task.result()
     else:
         work()
+
+
+def star_rows(
+    g_coef: np.ndarray, h_coef: np.ndarray, pole_logroots: np.ndarray, r, thetas, M: int
+) -> np.ndarray:
+    """T* = F* + N(r, inf) at each theta for the slices g_coef/h_coef, one
+    per row, with poles at log-moduli pole_logroots, one per column (the
+    root-major (D, rows) layout of ``big_N_rows``): array (len(thetas), rows).
+    r is one radius for every row or an array of one radius per row; a row's
+    values are those of a call with its radius alone.  Rows run in blocks of
+    BLOCK_CELLS samples (``_run_blocks``).  A row's arithmetic does not
+    depend on its block, so neither does the result.  The values
+    log(|g|^2/|h|^2) (module docstring) are halved after the bathtub."""
+    unit_nodes(M)
+    out = np.empty((len(thetas), g_coef.shape[0]))
+    per_row = np.ndim(r) != 0
+
+    def block(lo: int, hi: int) -> None:
+        radius = r[lo:hi] if per_row else r
+        out[:, lo:hi] = _top_means(_sorted_rows(g_coef[lo:hi], h_coef[lo:hi], radius, M), thetas)
+
+    _run_blocks(g_coef.shape[0], M, block)
     out *= 0.5
     out += big_N_rows(pole_logroots, r)
     return out
+
+
+def star_rings(
+    g_coef: np.ndarray, h_coef: np.ndarray, pole_logroots: np.ndarray, rings, M: int
+) -> np.ndarray:
+    """T* of the one slice g_coef/h_coef (a row each, its poles' log-moduli
+    a column) at every (radius, theta) of rings, a sequence of (radius,
+    thetas) pairs: all rings' values in one array, in ring order.  A ring's
+    values have the bits of ``star_rows(g_coef, h_coef, pole_logroots,
+    radius, thetas, M)[:, 0]``.
+
+    Each ring is a row of ``_run_blocks``, with one circle evaluation and
+    sort (``_sorted_rows``); its block then takes one top-k sum per (ring,
+    rank) that the thetas read, where ``star_rows`` sums every rank of
+    every row.  The rest is vectorised over all values with the operations
+    of ``_top_means`` and ``star_rows``, value by value: frac times the
+    entry below the top k plus their sum, over M, halved, plus
+    N(radius, inf).  Where frac is 0, ``_top_means`` takes the sum alone;
+    adding frac times a finite entry, +-0, leaves a sum's bits, and a sum
+    of sorted log values, which are finite and never -0, is never -0."""
+    unit_nodes(M)
+    count = len(rings)
+    radii = np.array([float(radius) for radius, _ in rings])
+    sizes = [len(thetas) for _, thetas in rings]
+    starts = [0, *accumulate(sizes)]
+    ring = np.repeat(np.arange(count), sizes)
+    k, frac = _split_thetas(np.fromiter(chain.from_iterable(t for _, t in rings), float, starts[-1]), M)
+    top = np.empty(starts[-1])
+    below = np.empty(starts[-1])
+
+    def block(lo: int, hi: int) -> None:
+        n = hi - lo
+        asc = _sorted_rows(np.repeat(g_coef, n, axis=0), np.repeat(h_coef, n, axis=0), radii[lo:hi], M)
+        span = slice(starts[lo], starts[hi])
+        rows, ranks = ring[span] - lo, k[span]
+        flat = asc.ravel()
+        ends = ((rows + 1) * M).tolist()
+        sums: dict[tuple[int, int], float] = {}
+        tops = []
+        for key in zip(ends, ranks.tolist()):
+            total = sums.get(key)
+            if total is None:  # the top k entries of a row: flat[end - k : end]
+                total = sums[key] = np.add.reduce(flat[key[0] - key[1] : key[0]])
+            tops.append(total)
+        top[span] = tops
+        # entry M-1-k, below the top k; at k = M, where frac is 0, entry 0 stands in
+        below[span] = asc[rows, np.maximum(M - 1 - ranks, 0)]
+
+    _run_blocks(count, M, block)
+    values = np.multiply(below, frac)
+    values += top
+    values /= M
+    values *= 0.5
+    values += big_N_rows(np.repeat(pole_logroots, count, axis=1), radii)[ring]
+    return values
 
 
 def circle_log_samples(F: MeroFunction, zeta: Direction, r: float, M: int = 4096) -> CircleSamples:

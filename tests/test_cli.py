@@ -294,6 +294,20 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("starfn: ")
 
 
+@pytest.mark.parametrize("zeta", ["nan,1", "1,1e400", "0.6,nani"])
+def test_a_non_finite_zeta_exits_2_naming_the_direction(tmp_path, capsys, zeta):
+    fn = _write_fn(tmp_path, "f.json", PRODUCT_SRC)
+    for argv in (
+        ["slice-star", "--fn", fn, "--zeta", zeta, "--r", "1", "--theta", "0.5"],
+        ["check", "jensen", "--fn", fn, "--zeta", zeta, "--r", "1"],
+        ["check", "harmonic-slice", "--fn", fn, "--zeta", zeta],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("starfn: direction (") and err.endswith("has a non-finite component\n")
+
+
 @pytest.mark.parametrize(
     "command, flag, document",
     [

@@ -21,7 +21,7 @@ from starfn.harmonicform import (
 )
 from starfn.slicing import Direction, batched_roots, jensen_residual, slice_divisor
 from starfn.sphere import mean_value_differences, sample_directions
-from starfn.starcore import _circle_abs2, star_rows
+from starfn.starcore import _circle_abs2, star_rings, star_rows
 
 # F(Z) = P(Z.eta) with P = (1 + u/2)^2 and eta = (1, 2)
 F_HARMONIC = parse_function("1 + z1 + 2*z2 + 0.25*z1^2 + z1*z2 + z2^2", 2)
@@ -417,14 +417,27 @@ def test_repeated_grids_lay_their_stencil_out_once():
     assert sphere._stencil_rings.cache_info().misses == 2
 
 
-def _per_ring_differences(F, zeta, M):
+def _per_ring_differences(F, zeta, M, r_values=GRID_R, theta_values=GRID_TH, rho=None, circle_nodes=8):
     """The stencil of slice_harmonicity_test with one star_rows call per ring."""
     div = slice_divisor(F, zeta)
     g, h, poles = div.pair.g.row, div.pair.h.row, div.logroots(math.inf)
     return mean_value_differences(
-        GRID_R, GRID_TH, None, 8,
+        r_values, theta_values, rho, circle_nodes,
         lambda rings: [star_rows(g, h, poles, radius, thetas, M) for radius, thetas in rings],
     )
+
+
+# node 3 of 8 around (r, theta) = (1, 2.356194490192345) on a disk of this
+# radius, tangent to the negative real axis up to rounding, lands on
+# theta = pi exactly: k = M at every M
+PI_NODE_GRID = ((0.5, 1.0, 1.5), (2.056194490192345, 2.356194490192345, math.pi), 0.7071067811865475, 8)
+EDGE_GRIDS = [
+    # 3 x 4 interior points with pi/2 among the centre thetas (frac = 0)
+    ((0.6, 0.85, 1.1, 1.35, 1.6), (0.45, 0.9, math.pi / 2, 2.1, 2.5, 2.75), None, 8),
+    ((0.6, 0.85, 1.1, 1.35, 1.6), (0.45, 0.9, math.pi / 2, 2.1, 2.5, 2.75), None, 6),
+    ((0.6, 0.85, 1.1, 1.35, 1.6), (0.45, 0.9, math.pi / 2, 2.1, 2.5, 2.75), None, 7),
+    PI_NODE_GRID,
+]
 
 
 def test_slice_harmonicity_test_is_one_kernel_call_with_the_bits_of_one_per_ring(monkeypatch):
@@ -434,21 +447,21 @@ def test_slice_harmonicity_test_is_one_kernel_call_with_the_bits_of_one_per_ring
     # directions its double zero sends some ring to Horner's rule
     calls, diffs = [], []
 
-    def counted(g, h, poles, r, thetas, M):
-        calls.append(r)
-        return star_rows(g, h, poles, r, thetas, M)
+    def counted(g, h, poles, rings, M):
+        calls.append(np.array([radius for radius, _ in rings]))
+        return star_rings(g, h, poles, rings, M)
 
     def kept(*args):
         diffs.append(mean_value_differences(*args))
         return diffs[-1]
 
-    monkeypatch.setattr(harmonicform, "star_rows", counted)
+    monkeypatch.setattr(harmonicform, "star_rings", counted)
     monkeypatch.setattr(harmonicform, "mean_value_differences", kept)
     cases = [(F_HARMONIC, Direction((1 + 0j, 0j)))]
     cases += [(F_HARMONIC, Direction(tuple(d))) for d in sample_directions(2, 5, seed=700).directions]
     gated = 0
     for F, zeta in cases:
-        for M in (1024, 8192):
+        for M in (256, 1024, 8192):
             by_threads = []
             for threads in ("1", "2"):
                 monkeypatch.setenv("STARFN_THREADS", threads)
@@ -460,3 +473,27 @@ def test_slice_harmonicity_test_is_one_kernel_call_with_the_bits_of_one_per_ring
         g = slice_divisor(F, zeta).pair.g.row
         gated += any(not _circle_abs2(g, radius, 1024)[1][0] for radius in radii)
     assert gated == 4
+
+    # edge stencils: a non-square grid, 6 and 7 circle nodes, a node with
+    # frac = 0 and one at theta = pi (k = M), on directions with gated rings
+    r_values, theta_values, rho, circle_nodes = PI_NODE_GRID
+    layout = sphere._stencil_rings(r_values, theta_values, rho, circle_nodes)
+    assert max(max(thetas) for _, thetas in layout.rings) == math.pi
+    gated = 0
+    for r_values, theta_values, rho, circle_nodes in EDGE_GRIDS:
+        for F, zeta in cases[:3]:
+            for M in (256, 1024, 8192):
+                by_threads = []
+                for threads in ("1", "2"):
+                    monkeypatch.setenv("STARFN_THREADS", threads)
+                    slice_harmonicity_test(
+                        F, zeta, r_values, theta_values, M=M, rho=rho, circle_nodes=circle_nodes
+                    )
+                    assert len(calls) == 1
+                    radii = calls.pop()
+                    by_threads.append(diffs.pop().tobytes())
+                want = _per_ring_differences(F, zeta, M, r_values, theta_values, rho, circle_nodes)
+                assert by_threads[0] == by_threads[1] == want.tobytes()
+            g = slice_divisor(F, zeta).pair.g.row
+            gated += any(not _circle_abs2(g, radius, 1024)[1][0] for radius in radii)
+    assert gated == 7

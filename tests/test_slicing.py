@@ -43,6 +43,14 @@ def test_direction_norm_enforced():
     assert d.n == 2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0)])
+def test_direction_rejects_a_non_finite_component(bad):
+    # a NaN norm passes |norm - 1| > NORM_TOL, so finiteness is its own check
+    for build in (lambda: Direction((bad, 0.0)), lambda: Direction.of([bad, 1.0])):
+        with pytest.raises(ValueError, match=r"direction \(.*\) has a non-finite component"):
+            build()
+
+
 def test_unipoly_trims_and_flags_zero():
     u = UniPoly((1, 2, 0, 0))
     assert u.coeffs == (1 + 0j, 2 + 0j)

@@ -68,6 +68,11 @@ def test_sample_directions_determinism_and_symmetry():
         DirectionSample(n=2, seed=1, count=3, directions=a.directions[:2])
     with pytest.raises(ValueError):
         DirectionSample(n=2, seed=1, count=2, directions=1.5 * a.directions[:2])
+    for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+        dirs = a.directions[:3].copy()
+        dirs[1, 1] = bad
+        with pytest.raises(ValueError, match=r"direction 1 \(.*\) has a non-finite component"):
+            DirectionSample(n=2, seed=1, count=3, directions=dirs)
 
 
 def test_estimate_validation():
@@ -531,6 +536,42 @@ def test_stencil_evaluates_each_distinct_radius_once(monkeypatch):
     subharmonicity_stats(RATIO, CRITERION_6_R, CRITERION_6_TH, sample, M=64, circle_nodes=8)
     assert len(calls) == 48
     assert len(set(calls)) == 48
+
+
+def test_subharmonicity_stats_adds_each_cell_in_the_order_of_a_plain_loop():
+    # the stencil's values added one at a time, per ring (distinct node
+    # radius, in order of first use) and within a ring in node order, each
+    # T* from its own one-theta call.  On this grid node 4 of one row shares
+    # its radius with node 0 of the row before, so rings mix rows
+    r_values = tuple(np.linspace(0.6, 1.6, 5))
+    theta_values = tuple(np.linspace(0.4, math.pi - 0.4, 5))
+    F, M, C = parse_function("(1 - z1 + 0.5*z2^2) / (1 - 0.7*z2)", 2), 256, 8
+    sample = sample_directions(2, 200, seed=5)
+    batch = sample.slices(F)
+    rho = check_stencil(r_values, theta_values, None, C)
+    psi = 2.0 * math.pi * np.arange(C) / C
+    mirrored = np.arange(C // 2 + 1, C)
+    rings = {}
+    for ii, r in enumerate(r_values[1:-1]):
+        q = r + rho * np.exp(1j * psi)
+        q[mirrored] = q[C - mirrored].conj()
+        radii, alphas = np.abs(q), np.angle(q)  # whole-array calls, as the stencil makes them
+        for c in range(C):
+            for jj, th0 in enumerate(theta_values[1:-1]):
+                rings.setdefault(float(radii[c]), []).append((th0 + float(alphas[c]), ii, jj))
+    assert len(rings) == 14
+    acc = np.zeros((3, 3, batch.kept))
+    for radius, entries in rings.items():
+        for theta, ii, jj in entries:
+            acc[ii, jj] += batch.star_totals(radius, [theta], M)[0]
+    for ii, r in enumerate(r_values[1:-1]):
+        acc[ii] = acc[ii] / C - batch.star_totals(r, theta_values[1:-1], M)
+    stats = subharmonicity_stats(F, r_values, theta_values, sample, M=M, circle_nodes=C)
+    assert len(stats) == 9
+    for st in stats:
+        diff = acc[st.i - 1, st.j - 1]
+        assert st.mean_diff == float(diff.mean())
+        assert st.stderr == float(diff.std(ddof=1) / math.sqrt(batch.kept))
 
 
 # five (F, sample) calls of different kinds, each giving comparable values

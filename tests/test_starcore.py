@@ -35,6 +35,7 @@ from starfn.starcore import (
     sanitize_log_values,
     slice_star_total,
     star_rearranged,
+    star_rings,
     star_rows,
     star_thresholded,
 )
@@ -285,6 +286,23 @@ def test_samples_validation():
         star_rearranged(make_samples(np.zeros(16)), -0.1)
 
 
+
+def test_samples_and_profiles_reject_nan_and_a_negative_clip_count():
+    # NaN fails no comparison, so each check must let it fail on its own
+    for bad in (math.nan, LOG_FLOOR - 1.0, LOG_CEILING * 2, math.inf):
+        values = np.zeros(16)
+        values[5] = bad
+        with pytest.raises(ValueError, match="finite and inside the clamp bounds"):
+            make_samples(values)
+    with pytest.raises(ValueError, match="clipped must be >= 0"):
+        CircleSamples(r=1.0, direction=Direction((1.0,)), M=16, values=np.zeros(16), clipped=-3)
+    for profile in ([3.0, math.nan, 1.0], [math.nan], [math.nan, 2.0], [2.0, math.nan]):
+        with pytest.raises(ValueError, match="nonincreasing and hold no NaN"):
+            RearrangedProfile(np.array(profile))
+    edges = make_samples(np.array([LOG_CEILING] + [0.0] * 14 + [LOG_FLOOR]))
+    assert edges.profile.sorted_values[0] == LOG_CEILING
+
+
 # ---------------------------------------------------------------------------
 # the T* kernel star_rows: circle values from |g|^2 and |h|^2, Horner's rule
 # for the rows the gate sends back
@@ -482,6 +500,34 @@ def test_star_rows_with_a_radius_per_row_gives_each_row_its_own_call(monkeypatch
                 one = star_rows(g[i : i + 1], h[i : i + 1], poles[:, i : i + 1], r, thetas, M)
                 assert np.array_equal(got[:, i], one[:, 0])
                 assert big_N[i] == big_N_rows(poles[:, i : i + 1], r)[0]
+
+
+def test_star_rings_gives_each_value_the_bits_of_its_ring_alone(monkeypatch):
+    # 30 rings make two blocks at M=4096 (24 rows each) and one below.  The
+    # thetas hold both ends (k = 0 and k = M), pi/2 (frac = 0 at every M
+    # here), a repeated theta and ranks shared between rings; ring 5's radius
+    # puts a zero 1e-7 outside the circle next to a node, so the gate sends
+    # it to Horner's rule, and ring 9 repeats ring 3's radius.  The slices
+    # have unequal degrees, a constant h and a constant g
+    zeta = Direction.of((0.6 + 0.2j, -0.5 + 0.6j))
+    reciprocal = MeroFunction(POLYNOMIAL.denominator, POLYNOMIAL.numerator, 2)
+    for M in (256, 4096):
+        turned, r_gated = _zero_near_node(RATIONAL, zeta, M)
+        radii = list(np.linspace(0.5, 2.0, 30))
+        radii[5], radii[9] = r_gated, radii[3]
+        base = [0.0, 0.4, math.pi / 2, 2.9, math.pi]
+        rings = [(r, base[i % 5 :] + base[: i % 3] + [1.1, 1.1]) for i, r in enumerate(radii)]
+        for F in (RATIONAL, POLYNOMIAL, reciprocal):
+            div = slice_divisor(F, turned)
+            g, h, poles = div.pair.g.row, div.pair.h.row, div.logroots(math.inf)
+            if F is RATIONAL:
+                assert not _trig_rows_ok(g, h, r_gated, M) and _trig_rows_ok(g, h, radii[0], M)
+            want = np.concatenate([star_rows(g, h, poles, r, thetas, M)[:, 0] for r, thetas in rings])
+            for threads in ("1", "2"):
+                monkeypatch.setenv("STARFN_THREADS", threads)
+                assert star_rings(g, h, poles, rings, M).tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="outside"):
+            star_rings(g, h, poles, [(1.0, [0.5, math.pi + 1e-9])], M)
 
 
 @pytest.mark.parametrize("F", [RATIONAL, EQUAL_DEGREES], ids=["unequal", "equal"])
