@@ -111,7 +111,8 @@ def _emit(payload: dict, ok: bool = True) -> int:
 
 
 def _direction(text: str) -> Direction:
-    parts = [p.strip().replace("i", "j") for p in text.split(",")]
+    parts = [p.strip() for p in text.split(",")]
+    parts = [p[:-1] + "j" if p.endswith("i") else p for p in parts]
     try:
         components = tuple(complex(p) for p in parts)
     except ValueError as exc:

@@ -33,7 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from .funcdef import MeroFunction, MultiPoly, linear_form, load_json_object
-from .slicing import Direction, horner_rows, make_slice, slice_coefficients, slice_divisor
+from .slicing import (
+    Direction, check_positive, horner_rows, make_slice, slice_coefficients, slice_divisor
+)
 from .sphere import mean_value_differences
 from .starcore import check_circle, star_rings
 
@@ -323,8 +325,12 @@ def verify_harmonic_form(
     F's Taylor data on that axis, and so cannot tell eta from a nonzero
     multiple of it.  Points where |H| is below POLE_SCREEN times its rounding
     scale, near the poles of F, are resampled with a bounded retry budget; a
-    polynomial F has no poles, and its points are not screened.
+    polynomial F has no poles, and its points are not screened.  A check of
+    no point verifies nothing: trials >= 1 and a positive, finite radius.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    check_positive(radius, "radius")
     rng = np.random.default_rng(seed)
     n = F.n
 
@@ -385,7 +391,7 @@ def slice_harmonicity_test(
     found.  All rings are one ``star_rings`` call, which evaluates and sorts
     the slice's circle once per ring radius and sums only the ranks the
     stencil reads, each value with the bits of a ``star_rows`` call of its
-    own ring.
+    own ring; the stencil adds that array one grid row at a time.
     """
     check_circle((), M)
 

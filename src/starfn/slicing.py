@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -120,11 +121,19 @@ class Direction:
 
     @classmethod
     def of(cls, vec: Sequence[complex]) -> "Direction":
-        """Normalize an arbitrary nonzero vector onto the sphere."""
+        """Normalize a nonzero vector onto the sphere, first dividing it by its
+        largest real or imaginary part if its sum of squares over- or underflows."""
         comps = _finite_components(vec)
-        norm = math.sqrt(sum(abs(c) ** 2 for c in comps))
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
+        try:
+            squares = sum(abs(c) ** 2 for c in comps)
+        except OverflowError:
+            squares = math.inf
+        if not sys.float_info.min <= squares < math.inf:
+            big = max((max(abs(c.real), abs(c.imag)) for c in comps), default=0.0)
+            if big == 0:
+                raise ValueError("cannot normalize the zero vector")
+            return cls.of([c / big for c in comps])
+        norm = math.sqrt(squares)
         return cls(tuple(c / norm for c in comps))
 
     @property

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -357,79 +356,37 @@ def check_stencil(
     return rho
 
 
-@dataclass(frozen=True, eq=False)
-class _Stencil:
-    """mean_value_differences's stencil on one checked grid.
-
-    ``rings`` are the (radius, thetas) pairs that ``totals`` gets: one per
-    distinct node radius, in order of first use, then one centre ring per
-    interior row.  ``slots`` holds per value, in ring order, its step and
-    its interior cell ii * (thetas - 2) + jj.  A node value's step is its
-    place among its cell's node values in ring order, 0..C-1, and a centre
-    value's is C.  A ring lists its thetas by step and cell, which keeps
-    each cell's order and makes a ring's runs of cells runs of rows too.
-    """
-
-    rings: tuple[tuple[float, tuple[float, ...]], ...]
-    slots: tuple[tuple[int, int], ...]
-    _plans: dict = field(default_factory=dict, repr=False)
-
-    def plan(self, lo: int, hi: int) -> list[tuple[int, slice, slice | np.ndarray]]:
-        """How values lo..hi-1, one array of ``totals``, reach their cells:
-        (step, cells, rows) in step order, one per run of consecutive cells
-        of one step, rows indexing the array (a slice where the run's rows
-        are consecutive too).  Kept per (lo, hi)."""
-        plan = self._plans.get((lo, hi))
-        if plan is None:
-            entries = sorted((step, cell, row) for row, (step, cell) in enumerate(self.slots[lo:hi]))
-            plan = []
-            # cell minus place in entries is constant along a run of consecutive cells
-            for (step, _), run in groupby(enumerate(entries), lambda e: (e[1][0], e[1][1] - e[0])):
-                _, cells, rows = zip(*(entry for _, entry in run))
-                consecutive = rows == tuple(range(rows[0], rows[-1] + 1))
-                rows = slice(rows[0], rows[-1] + 1) if consecutive else np.array(rows)
-                plan.append((step, slice(cells[0], cells[-1] + 1), rows))
-            self._plans[(lo, hi)] = plan
-        return plan
-
-
 @lru_cache(maxsize=8)
 def _stencil_rings(
     r_values: tuple[float, ...], theta_values: tuple[float, ...], rho: float | None, circle_nodes: int
-) -> _Stencil:
+) -> tuple[tuple[tuple[float, tuple[float, ...]], ...], tuple[tuple[int, bool], ...]]:
     """The stencil of mean_value_differences on a grid, which it checks
-    (``check_stencil``; rho None takes the default).  Cached per grid, so
-    repeated tests on one grid check and lay out their stencil once."""
+    (``check_stencil``; rho None takes the default).  Returns the rings
+    that ``totals`` gets, (radius, thetas) pairs, and then, in ring order,
+    the interior row of each block of thetas - 2 values and whether it is
+    a centre block.  Cached per grid, so repeated tests on one grid check
+    and lay out their stencil once."""
     rho = check_stencil(r_values, theta_values, rho, circle_nodes)
     interior_r, interior_t = r_values[1:-1], theta_values[1:-1]
-    width = len(interior_t)
     psi = 2.0 * math.pi * np.arange(circle_nodes) / circle_nodes
     mirrored = np.arange(circle_nodes // 2 + 1, circle_nodes)
-    rings: dict[float, list[tuple[float, int]]] = {}
+    rings: dict[float, tuple[list[float], list[int]]] = {}
     for ii, r in enumerate(interior_r):
         q = r + rho * np.exp(1j * psi)
         q[mirrored] = q[circle_nodes - mirrored].conj()
-        radii = np.abs(q)
-        alphas = np.angle(q)
+        radii, alphas = np.abs(q), np.angle(q)
         for c in range(circle_nodes):
-            for jj, th0 in enumerate(interior_t):
-                th = th0 + float(alphas[c])
-                if not 0.0 <= th <= math.pi:
-                    raise ValueError("circle node leaves the closed upper half-plane")
-                rings.setdefault(float(radii[c]), []).append((th, ii * width + jj))
-    added = [0] * (len(interior_r) * width)
-    layout, slots = [], []
-    for radius, entries in rings.items():
-        stepped = []
-        for th, cell in entries:
-            stepped.append((added[cell], cell, th))
-            added[cell] += 1
-        stepped.sort()
-        layout.append((radius, tuple(th for _, _, th in stepped)))
-        slots += [(step, cell) for step, cell, _ in stepped]
+            block = [th0 + float(alphas[c]) for th0 in interior_t]
+            if not all(0.0 <= th <= math.pi for th in block):
+                raise ValueError("circle node leaves the closed upper half-plane")
+            thetas, rows = rings.setdefault(float(radii[c]), ([], []))
+            thetas += block
+            rows.append(ii)
+    layout = [(radius, tuple(thetas)) for radius, (thetas, _) in rings.items()]
+    blocks = [(ii, False) for _, rows in rings.values() for ii in rows]
     layout += [(r, interior_t) for r in interior_r]
-    slots += [(circle_nodes, cell) for cell in range(len(added))]
-    return _Stencil(tuple(layout), tuple(slots))
+    blocks += [(ii, True) for ii in range(len(interior_r))]
+    return tuple(layout), tuple(blocks)
 
 
 def mean_value_differences(
@@ -452,35 +409,29 @@ def mean_value_differences(
     radii first and then one centre ring per interior row, and returns T*
     at each ring's (radius, theta) in ring order, as arrays (values,
     columns) that each hold one or more whole rings, one column per
-    direction.  An array reaches the cells in one vectorised add per run of
-    cells (``_Stencil.plan``), and every cell adds its node values in ring
-    order, as a loop over the rings would; then its sum is divided by C and
-    its centre value subtracted, in place.  The result has shape
-    (rows - 2, thetas - 2, columns).
+    direction.  A ring is a run of blocks of thetas - 2 values, one block
+    per interior row and node (or centre) of its radius, so the arrays are
+    added one block at a time: a node block to its row in place, in ring
+    order; a centre block, last, is subtracted from its row's sum over C.
+    The result has shape (rows - 2, thetas - 2, columns).
     """
     r_values = tuple(float(r) for r in r_values)
     theta_values = tuple(float(t) for t in theta_values)
-    stencil = _stencil_rings(r_values, theta_values, rho, circle_nodes)
-    shape = (len(r_values) - 2, len(theta_values) - 2)
+    rings, blocks = _stencil_rings(r_values, theta_values, rho, circle_nodes)
+    width = len(theta_values) - 2
+    runs = (run for values in totals(rings) for run in values.reshape(-1, width, values.shape[1]))
     acc = None
-    lo = 0
-    for values in totals(stencil.rings):
-        hi = lo + values.shape[0]
+    # centre blocks are last, after every node block of their row
+    for (ii, centre), run in zip(blocks, runs, strict=True):
         if acc is None:
-            acc = np.zeros((shape[0] * shape[1], values.shape[1]))
-        # a centre value comes after its cell's node values: centre rings
-        # are last, and a plan runs in step order
-        for step, cells, rows in stencil.plan(lo, hi):
-            part = acc[cells]
-            if step < circle_nodes:
-                part += values[rows]
-            else:
-                part /= circle_nodes
-                part -= values[rows]
-        lo = hi
-    if lo != len(stencil.slots):
-        raise ValueError("totals must return the values of every ring")
-    return acc.reshape(shape + (-1,))
+            acc = np.zeros((len(r_values) - 2, width, run.shape[1]))
+        row = acc[ii]
+        if centre:
+            row /= circle_nodes
+            row -= run
+        else:
+            row += run
+    return acc
 
 
 def subharmonicity_stats(
@@ -497,24 +448,21 @@ def subharmonicity_stats(
     For each interior z0 = r e^{i theta} the statistic is the average of
     T* over ``circle_nodes`` points of the circle |z - z0| = rho minus
     T*(z0), estimated per-direction with common random numbers on the nodes
-    of ``mean_value_differences``.  Its rings are evaluated lazily, one
-    ``star_totals`` call per distinct radius, so one ring's T* of every kept
-    direction is held at a time.
+    of ``mean_value_differences``, after its grid check.  Each ring is one
+    lazy ``star_totals`` call, added a grid row at a time, so one ring's T*
+    of every kept direction is held at a time.
     """
     check_circle((), M)
-    rho = check_stencil(r_values, theta_values, rho, circle_nodes)
-    batch = sample.slices(F)
-    diffs = mean_value_differences(
-        r_values,
-        theta_values,
-        rho,
-        circle_nodes,
-        lambda rings: (batch.star_totals(radius, thetas, M) for radius, thetas in rings),
-    )
+
+    def totals(rings: Sequence[tuple[float, Sequence[float]]]) -> Iterable[np.ndarray]:
+        batch = sample.slices(F)
+        return (batch.star_totals(radius, thetas, M) for radius, thetas in rings)
+
+    diffs = mean_value_differences(r_values, theta_values, rho, circle_nodes, totals)
     stats = []
     for ii, r in enumerate(r_values[1:-1]):
         for jj, th in enumerate(theta_values[1:-1]):
-            est = _estimate(diffs[ii, jj], batch.kept)
+            est = _estimate(diffs[ii, jj], diffs.shape[2])
             stats.append(
                 PointStat(
                     i=ii + 1,

@@ -65,6 +65,17 @@ def test_slice_star_matches_library(tmp_path, capsys):
     assert (got["r"], got["theta"]) == (2.0, 1.1)
 
 
+def test_slice_star_normalizes_a_zeta_far_from_unit_size(tmp_path, capsys):
+    fn = _write_fn(tmp_path, "f.json", PRODUCT_SRC)
+    status, got = _run(
+        capsys,
+        ["slice-star", "--fn", fn, "--zeta", "1e200,1e200", "--r", "2", "--theta", "1.1"],
+    )
+    assert status == 0
+    want = slice_star_total(load_function(fn), Direction.of((1.0, 1.0)), 2.0, 1.1, M=4096)
+    assert got["total"] == want.total
+
+
 def test_star_matches_library_and_reports_skips(tmp_path, capsys):
     fn = _write_fn(tmp_path, "f.json", RATIONAL_SRC)
     args = ["star", "--fn", fn, "--r", "1.5", "--theta", "0.9",
@@ -294,7 +305,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("starfn: ")
 
 
-@pytest.mark.parametrize("zeta", ["nan,1", "1,1e400", "0.6,nani"])
+@pytest.mark.parametrize("zeta", ["nan,1", "1,1e400", "0.6,nani", "1,inf"])
 def test_a_non_finite_zeta_exits_2_naming_the_direction(tmp_path, capsys, zeta):
     fn = _write_fn(tmp_path, "f.json", PRODUCT_SRC)
     for argv in (

@@ -20,7 +20,7 @@ from starfn.harmonicform import (
     verify_harmonic_form,
 )
 from starfn.slicing import Direction, batched_roots, jensen_residual, slice_divisor
-from starfn.sphere import mean_value_differences, sample_directions
+from starfn.sphere import check_stencil, mean_value_differences, sample_directions
 from starfn.starcore import _circle_abs2, star_rings, star_rows
 
 # F(Z) = P(Z.eta) with P = (1 + u/2)^2 and eta = (1, 2)
@@ -302,6 +302,30 @@ def test_verify_harmonic_form_bounds():
     assert verify_harmonic_form(F_HARMONIC, rotated, trials=200, seed=4) >= 1e-4
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trials": 0}, "trials"),
+        ({"trials": -1}, "trials"),
+        ({"radius": 0.0}, "radius"),
+        ({"radius": -0.3}, "radius"),
+        ({"radius": math.nan}, "radius"),
+        ({"radius": math.inf}, "radius"),
+    ],
+)
+def test_verify_harmonic_form_rejects_a_check_of_no_point(monkeypatch, kwargs, message):
+    # 1 + z1 + z2^3 is no function of z1; no point, or NaN points, read 0.0
+    # ("verified") or NaN, so the arguments are checked before any is drawn
+    F = parse_function("1 + z1 + z2^3", 2)
+    form = HarmonicForm(eta=(1 + 0j, 0j), profile=(1 + 0j, 1 + 0j), residual=0.0)
+    assert verify_harmonic_form(F, form) > 1e-2
+    calls = []
+    monkeypatch.setattr(harmonicform, "slice_coefficients", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        verify_harmonic_form(F, form, **kwargs)
+    assert calls == []
+
+
 def test_verify_harmonic_form_near_a_pole_of_high_order():
     # the expanded (1 - 3 z1)^12 cancels to rounding noise near its pole,
     # which an absolute screen |H| > 1e-12 let through (2.46 at seed 0)
@@ -418,13 +442,31 @@ def test_repeated_grids_lay_their_stencil_out_once():
 
 
 def _per_ring_differences(F, zeta, M, r_values=GRID_R, theta_values=GRID_TH, rho=None, circle_nodes=8):
-    """The stencil of slice_harmonicity_test with one star_rows call per ring."""
+    """The stencil of slice_harmonicity_test as a plain loop: one star_rows
+    call per ring (distinct node radius, in order of first use), and its
+    values added one at a time, within a ring in node order."""
     div = slice_divisor(F, zeta)
     g, h, poles = div.pair.g.row, div.pair.h.row, div.logroots(math.inf)
-    return mean_value_differences(
-        r_values, theta_values, rho, circle_nodes,
-        lambda rings: [star_rows(g, h, poles, radius, thetas, M) for radius, thetas in rings],
-    )
+    C = circle_nodes
+    rho = check_stencil(r_values, theta_values, rho, C)
+    psi = 2.0 * math.pi * np.arange(C) / C
+    mirrored = np.arange(C // 2 + 1, C)
+    rings = {}
+    for ii, r in enumerate(r_values[1:-1]):
+        q = r + rho * np.exp(1j * psi)
+        q[mirrored] = q[C - mirrored].conj()
+        radii, alphas = np.abs(q), np.angle(q)  # whole-array calls, as the stencil makes them
+        for c in range(C):
+            for jj, th0 in enumerate(theta_values[1:-1]):
+                rings.setdefault(float(radii[c]), []).append((th0 + float(alphas[c]), ii, jj))
+    acc = np.zeros((len(r_values) - 2, len(theta_values) - 2, 1))
+    for radius, entries in rings.items():
+        values = star_rows(g, h, poles, radius, [theta for theta, _, _ in entries], M)
+        for (_, ii, jj), value in zip(entries, values):
+            acc[ii, jj] += value
+    for ii, r in enumerate(r_values[1:-1]):
+        acc[ii] = acc[ii] / C - star_rows(g, h, poles, r, theta_values[1:-1], M)
+    return acc
 
 
 # node 3 of 8 around (r, theta) = (1, 2.356194490192345) on a disk of this
@@ -477,8 +519,8 @@ def test_slice_harmonicity_test_is_one_kernel_call_with_the_bits_of_one_per_ring
     # edge stencils: a non-square grid, 6 and 7 circle nodes, a node with
     # frac = 0 and one at theta = pi (k = M), on directions with gated rings
     r_values, theta_values, rho, circle_nodes = PI_NODE_GRID
-    layout = sphere._stencil_rings(r_values, theta_values, rho, circle_nodes)
-    assert max(max(thetas) for _, thetas in layout.rings) == math.pi
+    rings, _ = sphere._stencil_rings(r_values, theta_values, rho, circle_nodes)
+    assert max(max(thetas) for _, thetas in rings) == math.pi
     gated = 0
     for r_values, theta_values, rho, circle_nodes in EDGE_GRIDS:
         for F, zeta in cases[:3]:

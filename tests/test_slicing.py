@@ -43,6 +43,28 @@ def test_direction_norm_enforced():
     assert d.n == 2
 
 
+@pytest.mark.parametrize(
+    "vec, want",
+    [
+        ([1e200, 1e200], (2**-0.5, 2**-0.5)),
+        ([1e-200, 0], (1.0, 0.0)),
+        ([3e-170, 4e-170], (0.6, 0.8)),
+        ([1e-160, 0], (1.0, 0.0)),
+    ],
+)
+def test_direction_of_a_finite_vector_far_from_unit_size(vec, want):
+    # its sum of squares over- or underflows: the plain norm raised
+    # OverflowError, read 0 or lost digits in the subnormals
+    d = Direction.of(vec)
+    assert np.allclose(d.components, want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("zero", [[0, 0], [0.0, -0.0j]])
+def test_direction_of_the_zero_vector_is_refused(zero):
+    with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+        Direction.of(zero)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), complex(-math.inf, 1.0)])
 def test_direction_rejects_a_non_finite_component(bad):
     # a NaN norm passes |norm - 1| > NORM_TOL, so finiteness is its own check

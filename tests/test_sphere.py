@@ -23,6 +23,7 @@ from starfn.sphere import (
     check_stencil,
     counting_several,
     lelong_number,
+    mean_value_differences,
     sample_directions,
     star_grid,
     star_several,
@@ -572,6 +573,16 @@ def test_subharmonicity_stats_adds_each_cell_in_the_order_of_a_plain_loop():
         diff = acc[st.i - 1, st.j - 1]
         assert st.mean_diff == float(diff.mean())
         assert st.stderr == float(diff.std(ddof=1) / math.sqrt(batch.kept))
+
+
+@pytest.mark.parametrize("extra", [-3, -1, 1, 3])
+def test_mean_value_differences_refuses_totals_with_too_few_or_too_many_values(extra):
+    # 3 values a grid row on the 5x5 grid: +-3 is a whole block, +-1 is not
+    def totals(rings):
+        return [np.zeros((sum(len(thetas) for _, thetas in rings) + extra, 2))]
+
+    with pytest.raises(ValueError):
+        mean_value_differences(GRID_R, GRID_TH, None, 8, totals)
 
 
 # five (F, sample) calls of different kinds, each giving comparable values
