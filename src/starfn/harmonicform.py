@@ -280,8 +280,8 @@ def detect_harmonic_form(F: MeroFunction, tol: float = REAL_TOL) -> DetectionRep
         return DetectionReport(form is not None, form, (), None)
 
     q, axis = probe
-    div = slice_divisor(F, axis)
-    g, h = div.pair.g.coeffs, div.pair.h.coeffs
+    div, s = slice_divisor(F, axis), make_slice(F, axis)
+    g, h = s.g[0].tolist(), s.h[0].tolist()
     K = G.degree() + H.degree()
     ell = linear_form([e / q for e in eta], n)
     diff = _degree_norms(G * _compose(h, ell) - H * _compose(g, ell), K)
@@ -365,9 +365,9 @@ def verify_harmonic_form(
         p = 1.0
     else:
         q, axis = probe
-        pair = make_slice(F, axis)
+        s = make_slice(F, axis)
         w = (Z * np.asarray(form.eta, dtype=complex)).sum(axis=1) / q
-        p = horner_rows(pair.g.row, w)[0] / horner_rows(pair.h.row, w)[0]
+        p = horner_rows(s.g, w)[0] / horner_rows(s.h, w)[0]
     return float((np.abs(f - p) / (1.0 + np.abs(f))).max(initial=0.0))
 
 
@@ -396,9 +396,9 @@ def slice_harmonicity_test(
     check_circle((), M)
 
     def totals(rings: Sequence[tuple[float, Sequence[float]]]) -> list[np.ndarray]:
-        div = slice_divisor(F, zeta)
-        poles = div.logroots(math.inf)
-        return [star_rings(div.pair.g.row, div.pair.h.row, poles, rings, M)[:, None]]
+        poles = slice_divisor(F, zeta).logroots(math.inf)
+        s = make_slice(F, zeta)
+        return [star_rings(s.g, s.h, poles, rings, M)[:, None]]
 
     diffs = mean_value_differences(r_values, theta_values, rho, circle_nodes, totals)
     return bool(np.all(np.abs(diffs) <= tol))

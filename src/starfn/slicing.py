@@ -18,14 +18,15 @@ one column per row (``log_moduli``), so the counting functions work along
 axis 0: one vectorised add per root slot, in slot order, not one reduce per
 row.
 
-The single-slice API runs them on a batch of one.  ``slice_divisor`` cancels
-common roots (a shared root is a removable factor of the slice, not an
-a-point); the sphere averages skip such directions instead.  A
-``Direction`` keeps the divisor of the last F it served, as a
-``DirectionSample`` keeps its slice batch, so the single-slice queries find
-a slice's roots once.  It also keeps the circle values of the last
-(F, r, M) (``circle_values``), so ``jensen_residual``, ``circle_log_samples``
-and ``slice_star_total`` evaluate a circle once.  The Jensen residual is a
+The single-slice API runs them on a batch of one.  A ``Slice`` is F's slice
+along one direction: its one-row coefficient arrays, and on first use its raw
+roots, its divisor and the circle values of its last (r, M).  Its divisor
+cancels common roots (a shared root is a removable factor of the slice, not
+an a-point); the sphere averages skip such directions instead.  A
+``Direction`` keeps the Slice of the last F it served, as a
+``DirectionSample`` keeps its slice batch, so the single-slice queries find a
+slice's roots once, and ``jensen_residual``, ``circle_log_samples`` and
+``slice_star_total`` evaluate a circle once.  The Jensen residual is a
 global consistency check: N(r,0) - N(r,inf) equals the circle mean of
 log|F(r e^{ix} zeta)|.
 """
@@ -47,15 +48,12 @@ __all__ = [
     "INDETERMINACY_TOL",
     "MIN_NODES",
     "Direction",
-    "UniPoly",
-    "SlicePair",
-    "RootSet",
+    "Slice",
     "CountingRecord",
     "SliceDivisor",
     "RootFindingError",
     "CircleProximityError",
     "make_slice",
-    "roots_in_disk",
     "slice_divisor",
     "counting_small_n",
     "counting_big_N",
@@ -95,27 +93,30 @@ def _finite_components(vec: Sequence[complex]) -> tuple[complex, ...]:
     return comps
 
 
+def _sum_of_squares(comps: tuple[complex, ...]) -> float:
+    """The sum of |c|^2 over comps, inf where it overflows (Python's float
+    power raises OverflowError there)."""
+    try:
+        return sum(abs(c) ** 2 for c in comps)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Direction:
     """A point zeta on the unit sphere of C^n.
 
-    Two slots take no part in equality, hashing or repr: ``slice_divisor``
-    keeps the divisor of the last F it served on this direction, and
-    ``circle_values`` the circle values of the last (F, r, M).
+    One slot takes no part in equality, hashing or repr: the ``Slice`` of
+    the last F a single-slice query served on this direction.
     """
 
     components: tuple[complex, ...]
-    _divisor: tuple[MeroFunction, SliceDivisor] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _circle: tuple[MeroFunction, float, int, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _slice: Slice | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = _finite_components(self.components)
         object.__setattr__(self, "components", comps)
-        norm = math.sqrt(sum(abs(c) ** 2 for c in comps))
+        norm = math.sqrt(_sum_of_squares(comps))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"direction norm {norm} is not 1 within {NORM_TOL}")
 
@@ -124,10 +125,7 @@ class Direction:
         """Normalize a nonzero vector onto the sphere, first dividing it by its
         largest real or imaginary part if its sum of squares over- or underflows."""
         comps = _finite_components(vec)
-        try:
-            squares = sum(abs(c) ** 2 for c in comps)
-        except OverflowError:
-            squares = math.inf
+        squares = _sum_of_squares(comps)
         if not sys.float_info.min <= squares < math.inf:
             big = max((max(abs(c.real), abs(c.imag)) for c in comps), default=0.0)
             if big == 0:
@@ -364,78 +362,6 @@ def root_separation(
 
 
 @dataclass(frozen=True)
-class UniPoly:
-    """Univariate polynomial, coefficients in ascending degree.
-
-    The zero polynomial is the empty coefficient tuple; otherwise the leading
-    coefficient is nonzero.
-    """
-
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        for c in coeffs:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise ValueError("non-finite coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        if self.is_zero:
-            raise ValueError("degree of the zero polynomial")
-        return len(self.coeffs) - 1
-
-    @cached_property
-    def row(self) -> np.ndarray:
-        """The coefficients as a one-row batch, shape (1, degree + 1)."""
-        row = np.array([self.coeffs or (0j,)], dtype=complex)
-        row.setflags(write=False)
-        return row
-
-    def __call__(self, z):
-        """Horner evaluation; accepts scalars or numpy arrays."""
-        pts = np.asarray(z, dtype=complex)
-        vals = horner_rows(self.row, pts.reshape(-1))[0].reshape(pts.shape)
-        return vals if isinstance(z, np.ndarray) else complex(vals)
-
-
-@dataclass(frozen=True)
-class SlicePair:
-    """Numerator/denominator of the slice F_zeta; g(0) = h(0) = 1."""
-
-    direction: Direction
-    g: UniPoly
-    h: UniPoly
-
-    def __post_init__(self):
-        for u in (self.g, self.h):
-            if u.is_zero or u.coeffs[0] != 1:
-                raise ValueError("slice polynomials must have constant term 1")
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """Clustered roots (location, multiplicity) plus a residual bound.
-
-    residual_bound is the max |p(root)| over the reported locations — a
-    cheap certificate of root quality, not a rigorous inclusion radius.
-    """
-
-    roots: tuple[tuple[complex, int], ...]
-    residual_bound: float
-
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.roots)
-
-
-@dataclass(frozen=True)
 class CountingRecord:
     """n and N for one (r, a) query; a is 0 or math.inf."""
 
@@ -458,7 +384,6 @@ class SliceDivisor:
     cancelled lists (g_root, h_root, multiplicity) pairs that were removed.
     """
 
-    pair: SlicePair
     zeros: tuple[tuple[complex, int], ...]
     poles: tuple[tuple[complex, int], ...]
     cancelled: tuple[tuple[complex, complex, int], ...]
@@ -486,69 +411,109 @@ class SliceDivisor:
         return int(small_n_rows(self.logroots(a), t)[0])
 
 
-def make_slice(F: MeroFunction, zeta: Direction) -> SlicePair:
-    """Restrict F to the complex line {z * zeta}; the pair of the divisor
-    zeta keeps, when it keeps F's."""
+@dataclass(frozen=True, eq=False)
+class Slice:
+    """F's slice along one direction as a batch of one; F is matched by
+    identity.
+
+    g and h are the read-only (1, degree + 1) ascending coefficient rows of
+    g(z) = G(z*zeta) and h(z) = H(z*zeta), trailing exact zeros trimmed.
+    Their raw roots and the divisor are found on first use and kept, and
+    ``circle`` keeps the values of its last (r, M).
+    """
+
+    F: MeroFunction
+    g: np.ndarray
+    h: np.ndarray
+    _circle: tuple[float, int, np.ndarray] | None = field(default=None, init=False, repr=False)
+
+    @cached_property
+    def g_roots(self) -> np.ndarray:
+        """The raw roots of g, NaN-padded, as ``batched_roots`` finds them."""
+        return batched_roots(self.g)
+
+    @cached_property
+    def h_roots(self) -> np.ndarray:
+        """The raw roots of h, NaN-padded, as ``batched_roots`` finds them."""
+        return batched_roots(self.h)
+
+    @cached_property
+    def divisor(self) -> SliceDivisor:
+        """The roots of g and h clustered by their inclusion discs, with
+        common g/h roots (within INDETERMINACY_TOL) cancelled in pairs."""
+        zeros, poles = (
+            [[z, m] for z, m in _clusters(roots[0], _meeting(coef, roots)[0])]
+            for coef, roots in ((self.g, self.g_roots), (self.h, self.h_roots))
+        )
+        cancelled: list[tuple[complex, complex, int]] = []
+        for zrec in zeros:
+            for prec in poles:
+                if prec[1] == 0:
+                    continue
+                if abs(zrec[0] - prec[0]) <= INDETERMINACY_TOL:
+                    m = min(zrec[1], prec[1])
+                    cancelled.append((zrec[0], prec[0], m))
+                    zrec[1] -= m
+                    prec[1] -= m
+                    if zrec[1] == 0:
+                        break
+        return SliceDivisor(
+            zeros=tuple((z, m) for z, m in zeros if m > 0),
+            poles=tuple((z, m) for z, m in poles if m > 0),
+            cancelled=tuple(cancelled),
+        )
+
+    def circle(self, r: float, M: int) -> np.ndarray:
+        """log|g/h| at the M midpoint nodes of |z| = r, raw as
+        circle_log_values gives them, read-only; the values of the last
+        (r, M) are kept."""
+        kept = self._circle
+        if kept is not None and kept[0] == r and kept[1] == M:
+            return kept[2]
+        vals = circle_log_values(self.g, self.h, r * unit_nodes(M))[0]
+        vals.setflags(write=False)
+        object.__setattr__(self, "_circle", (r, M, vals))
+        return vals
+
+
+def make_slice(F: MeroFunction, zeta: Direction) -> Slice:
+    """Restrict F to the complex line {z * zeta}: the Slice zeta keeps, when
+    it keeps F's, and a new one otherwise.  A coefficient that overflows to
+    inf or NaN raises."""
+    kept = zeta._slice
+    if kept is not None and kept.F is F:
+        return kept
     if zeta.n != F.n:
         raise ValueError("direction dimension does not match F")
-    slot = zeta._divisor
-    if slot is not None and slot[0] is F:
-        return slot[1].pair
     dirs = np.array([zeta.components], dtype=complex)
-    g = slice_coefficients(F.numerator, dirs)[0]
-    h = slice_coefficients(F.denominator, dirs)[0]
-    return SlicePair(direction=zeta, g=UniPoly(tuple(g)), h=UniPoly(tuple(h)))
+    rows = []
+    for p in (F.numerator, F.denominator):
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = slice_coefficients(p, dirs)
+        if not np.isfinite(row).all():
+            raise ValueError("non-finite coefficient")
+        row = row[:, : np.flatnonzero(row[0])[-1] + 1]  # the constant term is 1
+        row.setflags(write=False)
+        rows.append(row)
+    return Slice(F, *rows)
 
 
-def roots_in_disk(u: UniPoly, t: float) -> RootSet:
-    """All roots of u with |z| <= t, clustered by their inclusion discs."""
-    if u.is_zero:
-        raise ValueError("roots of the zero polynomial are undefined")
-    if not t >= 0:  # NaN is not a radius
-        raise ValueError("disk radius must be nonnegative")
-    raw = batched_roots(u.row)
-    clusters = [(z, m) for z, m in _clusters(raw[0], _meeting(u.row, raw)[0]) if abs(z) <= t]
-    if not clusters:
-        return RootSet(roots=(), residual_bound=0.0)
-    residual = np.abs(u(np.array([z for z, _ in clusters]))).max()
-    return RootSet(roots=tuple(clusters), residual_bound=float(residual))
+def _on_slice(F: MeroFunction, zeta: Direction, query):
+    """query(s) for F's slice s along zeta.  zeta keeps a new slice once the
+    query returns, so a query that raises leaves the slice it kept before."""
+    kept = zeta._slice
+    if kept is not None and kept.F is F:
+        return query(kept)
+    s = make_slice(F, zeta)
+    result = query(s)
+    object.__setattr__(zeta, "_slice", s)
+    return result
 
 
 def slice_divisor(F: MeroFunction, zeta: Direction) -> SliceDivisor:
-    """Slice zeros and poles with common g/h roots cancelled in pairs.
-
-    F and zeta are immutable, so zeta keeps the divisor of the last F (by
-    identity) and returns it again; a miss rebuilds, and a failure is raised
-    and never kept.
-    """
-    slot = zeta._divisor
-    if slot is not None and slot[0] is F:
-        return slot[1]
-    pair = make_slice(F, zeta)
-    gset = roots_in_disk(pair.g, math.inf)
-    hset = roots_in_disk(pair.h, math.inf)
-    zeros = [[z, m] for z, m in gset.roots]
-    poles = [[z, m] for z, m in hset.roots]
-    cancelled: list[tuple[complex, complex, int]] = []
-    for zrec in zeros:
-        for prec in poles:
-            if prec[1] == 0:
-                continue
-            if abs(zrec[0] - prec[0]) <= INDETERMINACY_TOL:
-                m = min(zrec[1], prec[1])
-                cancelled.append((zrec[0], prec[0], m))
-                zrec[1] -= m
-                prec[1] -= m
-                if zrec[1] == 0:
-                    break
-    div = SliceDivisor(
-        pair=pair,
-        zeros=tuple((z, m) for z, m in zeros if m > 0),
-        poles=tuple((z, m) for z, m in poles if m > 0),
-        cancelled=tuple(cancelled),
-    )
-    object.__setattr__(zeta, "_divisor", (F, div))
-    return div
+    """Slice zeros and poles with common g/h roots cancelled in pairs
+    (``Slice.divisor``), found once per slice that zeta keeps."""
+    return _on_slice(F, zeta, lambda s: s.divisor)
 
 
 def counting_small_n(F: MeroFunction, zeta: Direction, t: float, a: float) -> int:
@@ -587,19 +552,12 @@ def unit_nodes(M: int) -> np.ndarray:
 
 def circle_values(F: MeroFunction, zeta: Direction, r: float, M: int) -> np.ndarray:
     """log|g/h| of F's slice at the M midpoint nodes of |z| = r, raw as
-    circle_log_values gives them, read-only.
+    circle_log_values gives them, read-only (``Slice.circle``).
 
-    zeta keeps the values of the last (F, r, M), F matched by identity and
-    r and M by value, so the circle queries on one slice evaluate it once.
+    The slice zeta keeps holds the values of its last (r, M), r and M
+    matched by value, so the circle queries on one slice evaluate it once.
     """
-    slot = zeta._circle
-    if slot is not None and slot[0] is F and slot[1] == r and slot[2] == M:
-        return slot[3]
-    pair = make_slice(F, zeta)
-    vals = circle_log_values(pair.g.row, pair.h.row, r * unit_nodes(M))[0]
-    vals.setflags(write=False)
-    object.__setattr__(zeta, "_circle", (F, r, M, vals))
-    return vals
+    return _on_slice(F, zeta, lambda s: s.circle(r, M))
 
 
 def jensen_residual(F: MeroFunction, zeta: Direction, r: float, M: int) -> float:
@@ -626,7 +584,5 @@ def indeterminacy_test(F: MeroFunction, zeta: Direction) -> tuple[bool, float]:
     g-root and an h-root (clustered locations), +inf if either set is empty.
     The sphere averages skip exactly the directions this flags.
     """
-    pair = make_slice(F, zeta)
-    g, h = pair.g.row, pair.h.row
-    sep = float(root_separation(g, batched_roots(g), h, batched_roots(h))[0])
+    sep = _on_slice(F, zeta, lambda s: float(root_separation(s.g, s.g_roots, s.h, s.h_roots)[0]))
     return sep <= INDETERMINACY_TOL, sep

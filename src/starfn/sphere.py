@@ -132,7 +132,8 @@ class DirectionSample:
         if not finite.all():
             row = int(np.argmin(finite))
             raise ValueError(f"direction {row} {tuple(dirs[row].tolist())} has a non-finite component")
-        norms = np.sqrt((np.abs(dirs) ** 2).sum(axis=1))
+        with np.errstate(over="ignore"):  # a norm of inf fails the check below
+            norms = np.sqrt((np.abs(dirs) ** 2).sum(axis=1))
         if np.any(np.abs(norms - 1.0) > NORM_TOL):
             raise ValueError(f"every direction must have norm 1 within {NORM_TOL}")
         dirs.setflags(write=False)

@@ -469,9 +469,9 @@ def star_rings(
 
 def circle_log_samples(F: MeroFunction, zeta: Direction, r: float, M: int = 4096) -> CircleSamples:
     """Midpoint samples of log|F(re^{ix} zeta)|, clamped to [floor, ceiling],
-    from the circle values zeta keeps (``slicing.circle_values``): a
-    ``jensen_residual`` or ``slice_star_total`` at the same (F, r, M) shares
-    one evaluation with this call.
+    from the circle values of the slice zeta keeps (``slicing.circle_values``):
+    a ``jensen_residual`` or ``slice_star_total`` at the same (F, r, M)
+    shares one evaluation with this call.
 
     If g_zeta and h_zeta share roots (indeterminate direction) the cancelled
     slice is sampled, consistent with the counting functions.

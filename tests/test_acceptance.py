@@ -27,8 +27,7 @@ from starfn.slicing import (
     counting_big_N,
     indeterminacy_test,
     jensen_residual,
-    make_slice,
-    roots_in_disk,
+    slice_divisor,
 )
 from starfn.sphere import sample_directions, star_several, subharmonicity_report
 from starfn.starcore import (
@@ -92,12 +91,10 @@ def _random_rational(rng, max_deg=4, terms=5):
 
 
 def _clear_of_circles(F, zeta):
-    pair = make_slice(F, zeta)
-    for u in (pair.g, pair.h):
-        for z, _ in roots_in_disk(u, math.inf).roots:
-            if any(abs(abs(z) - r) < 1e-3 * r for r in RADII):
-                return False
-    return True
+    div = slice_divisor(F, zeta)  # the clustered roots of g and h, cancelled or not
+    roots = [z for z, _ in div.zeros + div.poles]
+    roots += [z for zg, zh, _ in div.cancelled for z in (zg, zh)]
+    return not any(abs(abs(z) - r) < 1e-3 * r for z in roots for r in RADII)
 
 
 def _admissible_direction(rng, F, tries=200):

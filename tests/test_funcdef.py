@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from starfn.funcdef import (
+    MeroFunction,
     MultiPoly,
     NormalizationError,
     ParseError,
@@ -122,6 +123,15 @@ def test_normalization_scales_both_sides():
     z = (0.3 + 0.1j, -0.2 + 0.4j)
     raw = (2 - 2 * z[0]) / (4 + 4 * z[1])
     assert f.eval(z) == pytest.approx(2 * raw, rel=1e-15)
+
+
+def test_mero_function_requires_unit_constant_terms():
+    # every slice g(z) = G(z*zeta), h(z) = H(z*zeta) then has g(0) = h(0) = 1
+    one, raw = MultiPoly.constant(2, 1), parse_poly("2 + z1", 2)
+    for G, H in ((raw, one), (one, raw), (parse_poly("z1", 2), one)):
+        with pytest.raises(ValueError, match=r"requires G\(0\) = H\(0\) = 1"):
+            MeroFunction(G, H, 2)
+    assert MeroFunction(one, one, 2) == MeroFunction.one(2)
 
 
 def test_multipoly_rejects_bad_terms():

@@ -19,7 +19,7 @@ from starfn.harmonicform import (
     slice_harmonicity_test,
     verify_harmonic_form,
 )
-from starfn.slicing import Direction, batched_roots, jensen_residual, slice_divisor
+from starfn.slicing import Direction, batched_roots, jensen_residual, make_slice, slice_divisor
 from starfn.sphere import check_stencil, mean_value_differences, sample_directions
 from starfn.starcore import _circle_abs2, star_rings, star_rows
 
@@ -445,8 +445,8 @@ def _per_ring_differences(F, zeta, M, r_values=GRID_R, theta_values=GRID_TH, rho
     """The stencil of slice_harmonicity_test as a plain loop: one star_rows
     call per ring (distinct node radius, in order of first use), and its
     values added one at a time, within a ring in node order."""
-    div = slice_divisor(F, zeta)
-    g, h, poles = div.pair.g.row, div.pair.h.row, div.logroots(math.inf)
+    poles, s = slice_divisor(F, zeta).logroots(math.inf), make_slice(F, zeta)
+    g, h = s.g, s.h
     C = circle_nodes
     rho = check_stencil(r_values, theta_values, rho, C)
     psi = 2.0 * math.pi * np.arange(C) / C
@@ -512,7 +512,7 @@ def test_slice_harmonicity_test_is_one_kernel_call_with_the_bits_of_one_per_ring
                 radii = calls.pop()
                 by_threads.append(diffs.pop().tobytes())
             assert by_threads[0] == by_threads[1] == _per_ring_differences(F, zeta, M).tobytes()
-        g = slice_divisor(F, zeta).pair.g.row
+        g = make_slice(F, zeta).g
         gated += any(not _circle_abs2(g, radius, 1024)[1][0] for radius in radii)
     assert gated == 4
 
@@ -536,6 +536,6 @@ def test_slice_harmonicity_test_is_one_kernel_call_with_the_bits_of_one_per_ring
                     by_threads.append(diffs.pop().tobytes())
                 want = _per_ring_differences(F, zeta, M, r_values, theta_values, rho, circle_nodes)
                 assert by_threads[0] == by_threads[1] == want.tobytes()
-            g = slice_divisor(F, zeta).pair.g.row
+            g = make_slice(F, zeta).g
             gated += any(not _circle_abs2(g, radius, 1024)[1][0] for radius in radii)
     assert gated == 7

@@ -118,6 +118,32 @@ def _unused_imports(path: Path) -> list[str]:
     ]
 
 
+def _export_faults(path: Path) -> list[str]:
+    """Names that path's __all__ lists twice or that path does not bind at
+    its top level: by def, class or assignment, or, in the package's
+    __init__, which re-exports, by import too."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, exported = set(), None
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            bound.update(names)
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+        elif isinstance(node, ast.ImportFrom) and path.stem == "__init__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    if exported is None:
+        return [f"{path.name} has no __all__"]
+    return [f"{path.name} exports {name}, which it does not define"
+            for name in exported if name not in bound] + [
+        f"{path.name} lists {name} in __all__ twice"
+        for name in sorted(set(exported)) if exported.count(name) > 1
+    ]
+
+
 def test_package_has_modules():
     assert len(MODULES) >= 7
 
@@ -151,6 +177,11 @@ def test_only_starcore_uses_threads():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_package_imports_only_the_standard_library_and_numpy(path):
     assert _third_party_imports(path) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_defined_once(path):
+    assert _export_faults(path) == []
 
 
 @pytest.mark.parametrize(

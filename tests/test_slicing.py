@@ -9,8 +9,6 @@ from starfn.slicing import (
     CountingRecord,
     Direction,
     RootFindingError,
-    SlicePair,
-    UniPoly,
     batched_roots,
     big_N_rows,
     circle_log_values,
@@ -18,12 +16,12 @@ from starfn.slicing import (
     counting_big_N,
     counting_record,
     counting_small_n,
+    horner_rows,
     inclusion_radii,
     indeterminacy_test,
     jensen_residual,
     make_slice,
     root_separation,
-    roots_in_disk,
     slice_coefficients,
     slice_divisor,
     small_n_rows,
@@ -73,64 +71,93 @@ def test_direction_rejects_a_non_finite_component(bad):
             build()
 
 
-def test_unipoly_trims_and_flags_zero():
-    u = UniPoly((1, 2, 0, 0))
-    assert u.coeffs == (1 + 0j, 2 + 0j)
-    assert u.degree == 1
-    z = UniPoly(())
-    assert z.is_zero
-    with pytest.raises(ValueError):
-        z.degree
+def test_direction_refuses_a_norm_that_overflows():
+    # |c|**2 of a Python complex raises OverflowError past 1e154
+    for comps in ((1e200, 0.0), (1e200j, 1.0)):
+        with pytest.raises(ValueError, match="direction norm inf is not 1"):
+            Direction(comps)
 
 
-def test_unipoly_horner_matches_numpy():
-    u = UniPoly((1, -0.5, 0.25j))
+def test_horner_rows_matches_numpy():
+    row = np.array([[1, -0.5, 0.25j]])
     pts = np.array([0.3 + 0.1j, -1.2j, 2.0])
-    expect = np.polyval(np.array(u.coeffs[::-1]), pts)
-    assert np.allclose(u(pts), expect, atol=1e-14)
-    assert u(0) == 1
+    expect = np.polyval(row[0, ::-1], pts)
+    assert np.allclose(horner_rows(row, pts)[0], expect, atol=1e-14)
+    assert horner_rows(row, np.zeros(1, dtype=complex))[0, 0] == 1
+
+
+def test_make_slice_trims_a_leading_coefficient_that_cancels_exactly():
+    # along (1, 1)/sqrt(2) the z^2 terms of z1^2 - z2^2 cancel to an exact 0
+    f = parse_function("1 + 2*z1 + z1^2 - z2^2", 2)
+    s = make_slice(f, ZETA_0)
+    assert s.g.shape == (1, 2) and s.h.shape == (1, 1)
+    assert s.g[0, 1] == pytest.approx(math.sqrt(2), abs=1e-15)
+    assert not s.g.flags.writeable and not s.h.flags.writeable
+    assert slice_divisor(f, ZETA_0).zeros[0] == (pytest.approx(-1 / math.sqrt(2), abs=1e-15), 1)
 
 
 def test_make_slice_ratio_example():
     sp = make_slice(F_RATIO, ZETA_86)
-    assert sp.g.coeffs == (1 + 0j, -0.8 + 0j)
-    assert sp.h.coeffs == (1 + 0j, -0.6 + 0j)
+    assert sp.g[0].tolist() == [1 + 0j, -0.8 + 0j]
+    assert sp.h[0].tolist() == [1 + 0j, -0.6 + 0j]
 
 
 def test_make_slice_constant_and_product():
     one = MeroFunction.one(3)
     sp = make_slice(one, Direction.of((1, 1, 1)))
-    assert sp.g.coeffs == (1 + 0j,) and sp.h.coeffs == (1 + 0j,)
+    assert sp.g[0].tolist() == [1 + 0j] and sp.h[0].tolist() == [1 + 0j]
 
     f = parse_function("1 - z1*z2", 2)
     sp2 = make_slice(f, ZETA_0)
-    assert sp2.h.coeffs == (1 + 0j,)
-    assert sp2.g.coeffs[1] == 0
-    assert sp2.g.coeffs[2] == pytest.approx(-0.5, abs=1e-15)
+    assert sp2.h[0].tolist() == [1 + 0j]
+    assert sp2.g[0, 1] == 0
+    assert sp2.g[0, 2] == pytest.approx(-0.5, abs=1e-15)
 
 
-def test_slicepair_requires_unit_constant():
-    with pytest.raises(ValueError):
-        SlicePair(ZETA_86, UniPoly((2, 1)), UniPoly((1,)))
+def test_a_slice_coefficient_that_overflows_is_refused():
+    # four terms of 1e308 * 0.5 sum past the largest float; run with
+    # RuntimeWarnings as errors, an overflow warning would escape as one
+    F = parse_function("1 + 1e308*z1 + 1e308*z2 + 1e308*z3 + 1e308*z4", 4)
+    zeta = Direction.of((1, 1, 1, 1))
+    queries = (
+        make_slice,
+        slice_divisor,
+        indeterminacy_test,
+        lambda F, zeta: circle_values(F, zeta, 1.0, 64),
+        lambda F, zeta: counting_record(F, zeta, 1.0, 0),
+    )
+    for query in queries:
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            query(F, zeta)
+
+
+# the roots of a slice in a disk |z| <= t: slice_divisor clusters them by
+# their inclusion discs, and counting_small_n counts those in the disk
+UNIT = Direction((1.0,))
+
+
+def _one_variable(coeffs) -> MeroFunction:
+    """The polynomial with these ascending coefficients as a function of one
+    variable, scaled to constant term 1: its slice along UNIT is itself."""
+    terms = {(k,): complex(c) for k, c in enumerate(coeffs) if c}
+    return MeroFunction.from_polys(MultiPoly(1, terms), MultiPoly.constant(1, 1))
 
 
 def test_roots_in_disk_single_root():
-    u = UniPoly((1, -0.6))
-    inside1 = roots_in_disk(u, 1.0)
-    assert inside1.roots == ()
-    inside2 = roots_in_disk(u, 2.0)
-    assert len(inside2.roots) == 1
-    z, m = inside2.roots[0]
+    F = _one_variable((1, -0.6))
+    assert counting_small_n(F, UNIT, 1.0, 0) == 0
+    assert counting_small_n(F, UNIT, 2.0, 0) == 1
+    (z, m), = slice_divisor(F, UNIT).zeros
     assert m == 1 and z == pytest.approx(5 / 3, abs=1e-12)
-    assert inside2.residual_bound <= 1e-12
+    assert abs(horner_rows(make_slice(F, UNIT).g, np.array([z]))[0, 0]) <= 1e-12
 
 
 def test_roots_in_disk_constant_and_double_root():
-    assert roots_in_disk(UniPoly((1,)), 5.0).roots == ()
-    u = UniPoly((1, 1, 0.25))  # (1 + z/2)^2
-    rs = roots_in_disk(u, 3.0)
-    assert len(rs.roots) == 1
-    z, m = rs.roots[0]
+    assert slice_divisor(MeroFunction.one(1), UNIT).zeros == ()
+    assert counting_small_n(MeroFunction.one(1), UNIT, 5.0, 0) == 0
+    F = _one_variable((1, 1, 0.25))  # (1 + z/2)^2
+    assert counting_small_n(F, UNIT, 3.0, 0) == 2
+    (z, m), = slice_divisor(F, UNIT).zeros
     assert m == 2 and z == pytest.approx(-2.0, abs=1e-6)
 
 
@@ -139,9 +166,9 @@ def test_roots_in_disk_triple_and_quadruple_root():
     # m = 4 and ~0.01 for m = 8, as (1 + z/2)^m shows
     powers = [(m, tuple(math.comb(m, k) / 2**k for k in range(m + 1))) for m in range(5, 9)]
     for m, coeffs in ((3, (1, 1.5, 0.75, 0.125)), (4, (1, 2, 1.5, 0.5, 0.0625)), *powers):
-        rs = roots_in_disk(UniPoly(coeffs), 3.0)
-        assert len(rs.roots) == 1
-        z, mult = rs.roots[0]
+        F = _one_variable(coeffs)
+        assert counting_small_n(F, UNIT, 3.0, 0) == m
+        (z, mult), = slice_divisor(F, UNIT).zeros
         assert mult == m and z == pytest.approx(-2.0, abs=1e-6)
 
 
@@ -149,10 +176,10 @@ def test_roots_in_disk_ill_conditioned_double_root_beside_a_simple_one():
     # (1-z)^2 (1-z/1.001): the double root at 1 splits by ~2.3e-6, far more
     # than a double root alone would, because the simple root is 1e-3 away
     coeffs = np.polynomial.polynomial.polymul((1, -2, 1), (1, -1 / 1.001))
-    rs = roots_in_disk(UniPoly(tuple(coeffs)), math.inf)
-    assert [m for _, m in rs.roots] == [2, 1]
-    assert abs(rs.roots[0][0] - 1.0) <= 1e-8
-    assert abs(rs.roots[1][0] - 1.001) <= 1e-8
+    zeros = slice_divisor(_one_variable(coeffs), UNIT).zeros
+    assert [m for _, m in zeros] == [2, 1]
+    assert abs(zeros[0][0] - 1.0) <= 1e-8
+    assert abs(zeros[1][0] - 1.001) <= 1e-8
 
 
 def test_roots_in_disk_keeps_a_tight_ring_of_distinct_roots():
@@ -160,9 +187,11 @@ def test_roots_in_disk_keeps_a_tight_ring_of_distinct_roots():
     # apart: an 8-fold merge radius of ~0.09 would take them for one root
     coeffs = [math.comb(8, k) * (-1) ** k for k in range(9)]
     coeffs[0] -= 1e-8
-    rs = roots_in_disk(UniPoly(tuple(coeffs)), 3.0)
-    assert [m for _, m in rs.roots] == [1] * 8
-    assert all(abs(abs(z - 1.0) - 0.1) <= 1e-6 for z, _ in rs.roots)
+    F = _one_variable(coeffs)
+    assert counting_small_n(F, UNIT, 3.0, 0) == 8
+    zeros = slice_divisor(F, UNIT).zeros
+    assert [m for _, m in zeros] == [1] * 8
+    assert all(abs(abs(z - 1.0) - 0.1) <= 1e-6 for z, _ in zeros)
 
 
 def test_roots_in_disk_total_multiplicity_is_degree():
@@ -172,22 +201,15 @@ def test_roots_in_disk_total_multiplicity_is_degree():
         coeffs = [1 + 0j] + [
             complex(rng.normal(), rng.normal()) * 0.5 for _ in range(deg)
         ]
-        u = UniPoly(tuple(coeffs))
-        if u.is_zero or u.degree == 0:
-            continue
-        rs = roots_in_disk(u, math.inf)
-        assert rs.total_multiplicity() == u.degree
-
-
-def test_roots_in_disk_rejects_zero_poly():
-    with pytest.raises(ValueError):
-        roots_in_disk(UniPoly(()), 1.0)
+        F = _one_variable(coeffs)
+        assert sum(m for _, m in slice_divisor(F, UNIT).zeros) == deg
+        assert counting_small_n(F, UNIT, 1e300, 0) == deg
 
 
 def test_roots_in_disk_rejects_a_radius_that_is_not_nonnegative():
     for t in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="disk radius must be nonnegative"):
-            roots_in_disk(UniPoly((1, 2)), t)
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            counting_small_n(_one_variable((1, 2)), UNIT, t, 0)
 
 
 def test_counting_small_n_pole_thresholds():
@@ -339,8 +361,8 @@ def test_slice_commutes_with_unitary_change():
     left = make_slice(fU, zeta)
     right = make_slice(f, u_zeta)
     for a, b in ((left.g, right.g), (left.h, right.h)):
-        assert len(a.coeffs) == len(b.coeffs)
-        assert np.allclose(a.coeffs, b.coeffs, atol=1e-12)
+        assert a.shape == b.shape
+        assert np.allclose(a, b, atol=1e-12)
 
 
 def test_counting_record_validation():
@@ -460,6 +482,22 @@ def test_a_direction_keeps_the_divisor_of_the_last_function(monkeypatch):
     assert repr(zeta) == repr(other) and hash(zeta) == hash(other)
 
 
+def test_one_root_extraction_per_function_and_direction(monkeypatch):
+    calls = _count_slice_root_calls(monkeypatch)
+    F = parse_function(SLOT_F, 2)
+    zeta = Direction.of((0.2 - 0.9j, 1.0))
+    flag, sep = indeterminacy_test(F, zeta)
+    div = slice_divisor(F, zeta)
+    record = counting_record(F, zeta, 1.5, 0)
+    assert calls == [1, 1]  # the raw roots of g and of h, once each
+    assert (flag, sep) == indeterminacy_test(F, zeta) and div is slice_divisor(F, zeta)
+    assert record == counting_record(F, zeta, 1.5, 0) and calls == [1, 1]
+    fresh = Direction.of((0.2 - 0.9j, 1.0))
+    assert indeterminacy_test(F, fresh) == (flag, sep)
+    assert slice_divisor(F, fresh) == div and counting_record(F, fresh, 1.5, 0) == record
+    assert calls == [1, 1] * 2
+
+
 def test_a_failed_divisor_build_leaves_the_slot_as_it_was(monkeypatch):
     calls = _count_slice_root_calls(monkeypatch)
     F, G = parse_function(SLOT_F, 2), parse_function("1 + z1 - z2", 2)
@@ -495,7 +533,7 @@ def test_single_slice_queries_on_a_kept_divisor_give_fresh_bits(monkeypatch):
     components = (0.6 + 0.2j, -0.5 + 0.1j)
     zeta = Direction.of(components)
     div = slice_divisor(F, zeta)
-    assert make_slice(F, zeta) is div.pair  # a circle miss builds no second pair
+    assert make_slice(F, zeta).divisor is div  # a circle miss builds no second slice
     calls = _count_slice_root_calls(monkeypatch)
     circles = _count_circle_evaluations(monkeypatch)
     thetas = (0.3, math.pi / 2, math.pi)
@@ -521,7 +559,7 @@ def test_single_slice_queries_on_a_kept_divisor_give_fresh_bits(monkeypatch):
         values[0] = 0.0
     circles.clear()
     twin = parse_function(SLOT_F, 2)  # equal by value, but another F
-    assert make_slice(twin, zeta) is not div.pair
+    assert make_slice(twin, zeta) is not make_slice(F, zeta)
     for f, r, M in ((F, 2.0, 1024), (twin, 2.0, 1024), (twin, 1.0, 1024), (twin, 1.0, 2048)):
         circle_log_samples(f, zeta, r, M)
         circle_log_samples(f, zeta, r, M)

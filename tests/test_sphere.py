@@ -76,6 +76,14 @@ def test_sample_directions_determinism_and_symmetry():
             DirectionSample(n=2, seed=1, count=3, directions=dirs)
 
 
+@pytest.mark.parametrize("row", [[1e200, 0], [0, 1e200j], [1e160 + 1e160j, 0]])
+def test_direction_sample_refuses_a_norm_that_overflows(row):
+    # run with RuntimeWarnings as errors, numpy's overflow warning in the
+    # squares would escape in place of the norm message
+    with pytest.raises(ValueError, match="every direction must have norm 1"):
+        DirectionSample(n=2, seed=0, count=1, directions=np.array([row]))
+
+
 def test_estimate_validation():
     with pytest.raises(ValueError):
         Estimate(mean=0.0, stderr=0.0, count_used=0)

@@ -15,6 +15,7 @@ from starfn.slicing import (
     circle_log_values,
     counting_big_N,
     log_moduli,
+    make_slice,
     midpoint_angles,
     slice_coefficients,
     slice_divisor,
@@ -518,8 +519,8 @@ def test_star_rings_gives_each_value_the_bits_of_its_ring_alone(monkeypatch):
         base = [0.0, 0.4, math.pi / 2, 2.9, math.pi]
         rings = [(r, base[i % 5 :] + base[: i % 3] + [1.1, 1.1]) for i, r in enumerate(radii)]
         for F in (RATIONAL, POLYNOMIAL, reciprocal):
-            div = slice_divisor(F, turned)
-            g, h, poles = div.pair.g.row, div.pair.h.row, div.logroots(math.inf)
+            poles, s = slice_divisor(F, turned).logroots(math.inf), make_slice(F, turned)
+            g, h = s.g, s.h
             if F is RATIONAL:
                 assert not _trig_rows_ok(g, h, r_gated, M) and _trig_rows_ok(g, h, radii[0], M)
             want = np.concatenate([star_rows(g, h, poles, r, thetas, M)[:, 0] for r, thetas in rings])
@@ -542,8 +543,8 @@ def test_star_rows_agrees_with_the_horner_path(F):
         zeta, r = Direction(tuple(row)), 1.3
         if i % 4 == 0:
             zeta, r = _zero_near_node(F, zeta, M)
-        div = slice_divisor(F, zeta)
-        g, h = div.pair.g.row, div.pair.h.row
+        div, s = slice_divisor(F, zeta), make_slice(F, zeta)
+        g, h = s.g, s.h
         exact = not _trig_rows_ok(g, h, r, M)
         assert exact or i % 4
         got = star_rows(g, h, div.logroots(math.inf), r, thetas, M)[:, 0]
