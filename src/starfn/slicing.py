@@ -146,6 +146,9 @@ class Direction:
 def slice_coefficients(p: MultiPoly, dirs: np.ndarray) -> np.ndarray:
     """Ascending coefficients of p(z * zeta), one row per row zeta of dirs.
 
+    Raises ValueError unless every coefficient has a finite modulus (np.abs),
+    for one direction and a whole sample alike.
+
     Each product is w * power of two named arrays: numpy multiplies a
     one-element array in place with another complex loop, and may swap the
     operands of a product with a temporary; either changes the rounding, and
@@ -153,13 +156,16 @@ def slice_coefficients(p: MultiPoly, dirs: np.ndarray) -> np.ndarray:
     """
     count = dirs.shape[0]
     out = np.zeros((count, p.degree() + 1), dtype=complex)
-    for exp, c in p.ordered_terms():
-        w = np.full(count, c, dtype=complex)
-        for j, e in enumerate(exp):
-            if e:
-                power = dirs[:, j] ** e
-                w = w * power
-        out[:, sum(exp)] += w
+    with np.errstate(over="ignore", invalid="ignore"):
+        for exp, c in p.ordered_terms():
+            w = np.full(count, c, dtype=complex)
+            for j, e in enumerate(exp):
+                if e:
+                    power = dirs[:, j] ** e
+                    w = w * power
+            out[:, sum(exp)] += w
+        if not np.isfinite(np.abs(out)).all():
+            raise ValueError("non-finite coefficient")
     return out
 
 
@@ -478,8 +484,8 @@ class Slice:
 
 def make_slice(F: MeroFunction, zeta: Direction) -> Slice:
     """Restrict F to the complex line {z * zeta}: the Slice zeta keeps, when
-    it keeps F's, and a new one otherwise.  A coefficient that overflows to
-    inf or NaN raises."""
+    it keeps F's, and a new one otherwise (``slice_coefficients`` refuses
+    a coefficient that overflows)."""
     kept = zeta._slice
     if kept is not None and kept.F is F:
         return kept
@@ -488,10 +494,7 @@ def make_slice(F: MeroFunction, zeta: Direction) -> Slice:
     dirs = np.array([zeta.components], dtype=complex)
     rows = []
     for p in (F.numerator, F.denominator):
-        with np.errstate(over="ignore", invalid="ignore"):
-            row = slice_coefficients(p, dirs)
-        if not np.isfinite(row).all():
-            raise ValueError("non-finite coefficient")
+        row = slice_coefficients(p, dirs)
         row = row[:, : np.flatnonzero(row[0])[-1] + 1]  # the constant term is 1
         row.setflags(write=False)
         rows.append(row)
@@ -499,14 +502,12 @@ def make_slice(F: MeroFunction, zeta: Direction) -> Slice:
 
 
 def _on_slice(F: MeroFunction, zeta: Direction, query):
-    """query(s) for F's slice s along zeta.  zeta keeps a new slice once the
-    query returns, so a query that raises leaves the slice it kept before."""
-    kept = zeta._slice
-    if kept is not None and kept.F is F:
-        return query(kept)
+    """query(s) for F's slice s along zeta (``make_slice``); zeta keeps a new
+    slice once the query returns, so a failed query leaves the one before."""
     s = make_slice(F, zeta)
     result = query(s)
-    object.__setattr__(zeta, "_slice", s)
+    if s is not zeta._slice:
+        object.__setattr__(zeta, "_slice", s)
     return result
 
 

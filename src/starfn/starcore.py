@@ -392,19 +392,16 @@ def star_rows(
 ) -> np.ndarray:
     """T* = F* + N(r, inf) at each theta for the slices g_coef/h_coef, one
     per row, with poles at log-moduli pole_logroots, one per column (the
-    root-major (D, rows) layout of ``big_N_rows``): array (len(thetas), rows).
-    r is one radius for every row or an array of one radius per row; a row's
-    values are those of a call with its radius alone.  Rows run in blocks of
-    BLOCK_CELLS samples (``_run_blocks``).  A row's arithmetic does not
-    depend on its block, so neither does the result.  The values
-    log(|g|^2/|h|^2) (module docstring) are halved after the bathtub."""
+    root-major (D, rows) layout of ``big_N_rows``): array (len(thetas), rows),
+    at the one radius r.  Rows run in blocks of BLOCK_CELLS samples
+    (``_run_blocks``).  A row's arithmetic does not depend on its block, so
+    neither does the result.  The values log(|g|^2/|h|^2) (module
+    docstring) are halved after the bathtub."""
     unit_nodes(M)
     out = np.empty((len(thetas), g_coef.shape[0]))
-    per_row = np.ndim(r) != 0
 
     def block(lo: int, hi: int) -> None:
-        radius = r[lo:hi] if per_row else r
-        out[:, lo:hi] = _top_means(_sorted_rows(g_coef[lo:hi], h_coef[lo:hi], radius, M), thetas)
+        out[:, lo:hi] = _top_means(_sorted_rows(g_coef[lo:hi], h_coef[lo:hi], r, M), thetas)
 
     _run_blocks(g_coef.shape[0], M, block)
     out *= 0.5

@@ -132,7 +132,7 @@ def test_grid_csv_export_is_byte_identical(tmp_path, capsys):
         status, got = _run(capsys, ["grid", "--fn", fn, *GRID_ARGS, "--out", out])
         assert status == 0
         assert got["out"] == out
-    first, second = (open(p, "rb").read() for p in paths)
+    first, second = (Path(p).read_bytes() for p in paths)
     assert first == second
     lines = first.decode().splitlines()
     assert lines[0] == "r,theta,mean,stderr,count_used"
@@ -216,6 +216,34 @@ def test_check_subharmonic_passes_on_a_zero_divisor(tmp_path, capsys):
     )
     assert status == 0
     assert got == {"violations": [], "count": 0}
+
+
+def test_check_subharmonic_flags_points_of_a_one_direction_sample(tmp_path, capsys):
+    # one direction gives every point a stderr of 0, and at M=16 the
+    # quadrature error puts four points of row r=1.7 below the slack
+    fn = _write_fn(tmp_path, "f.json", {
+        "n": 2,
+        "numerator": "1 + (0.3-1.1*i)*z1^2*z2 - 0.7*z1*z2 + 2*z2^3",
+        "denominator": "1 + (1.2+0.4*i)*z1 - 0.5*z1^2*z2^2",
+    })
+    status, got = _run(
+        capsys,
+        ["check", "subharmonic", "--fn", fn, "--samples", "1", "--seed", "0", "--circle", "16",
+         "--r-steps", "6", "--theta-steps", "6",
+         "--theta-min", "0.3", "--theta-max", "2.8415926535897933"],
+    )
+    assert status == 1
+    assert got["count"] == 4
+    assert [(v["r"], v["stderr"]) for v in got["violations"]] == [(1.7, 0.0)] * 4
+
+
+def test_a_slice_coefficient_that_overflows_exits_2(tmp_path, capsys):
+    # row 50 of the sample has a coefficient whose modulus overflows
+    fn = _write_fn(tmp_path, "f.json", {"n": 4, "numerator": "1 + 1e308*z1 + 1e308*z2 + 1e308*z3 + 1e308*z4"})
+    argv = ["counting", "--fn", fn, "--samples", "200", "--seed", "0", "--r", "1", "--a", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "starfn: non-finite coefficient\n"
 
 
 def test_check_subharmonic_rejects_tiny_grid(tmp_path, capsys):

@@ -26,6 +26,9 @@ from starfn.slicing import (
     slice_divisor,
     small_n_rows,
 )
+from starfn.sphere import (
+    counting_several, lelong_number, sample_directions, star_grid, star_several, subharmonicity_stats,
+)
 from starfn.starcore import circle_log_samples, slice_star_total
 
 F_RATIO = parse_function("(z1-1)/(z2-1)", 2)
@@ -115,20 +118,40 @@ def test_make_slice_constant_and_product():
 
 
 def test_a_slice_coefficient_that_overflows_is_refused():
-    # four terms of 1e308 * 0.5 sum past the largest float; run with
-    # RuntimeWarnings as errors, an overflow warning would escape as one
+    # four terms of 1e308 * 0.5 sum past the largest float.  Along row 50 of
+    # the sample, z's coefficient -1.22e308+1.36e308j has finite parts but a
+    # modulus that overflows.  Run with RuntimeWarnings as errors, an
+    # overflow warning would escape as one
     F = parse_function("1 + 1e308*z1 + 1e308*z2 + 1e308*z3 + 1e308*z4", 4)
-    zeta = Direction.of((1, 1, 1, 1))
+    sample = sample_directions(4, 200, seed=0)
+    row_50 = Direction(tuple(sample.directions[50].tolist()))
+    with np.errstate(over="ignore"):
+        coef = sum(1e308 * c for c in row_50.components)
+        assert np.isfinite(coef) and np.isinf(np.abs(coef))
     queries = (
         make_slice,
         slice_divisor,
         indeterminacy_test,
         lambda F, zeta: circle_values(F, zeta, 1.0, 64),
         lambda F, zeta: counting_record(F, zeta, 1.0, 0),
+        lambda F, zeta: slice_star_total(F, zeta, 1.0, 1.0, 64),
+        lambda F, zeta: jensen_residual(F, zeta, 1.0, 64),
     )
-    for query in queries:
-        with pytest.raises(ValueError, match="non-finite coefficient"):
-            query(F, zeta)
+    for zeta in (Direction.of((1, 1, 1, 1)), row_50):
+        for query in queries:
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                query(F, zeta)
+    sphere_queries = (
+        lambda: star_several(F, 1.0, 1.0, sample, M=64),
+        lambda: counting_several(F, 1.0, 0, sample),
+        lambda: lelong_number(F, 1.0, 0, sample),
+        lambda: star_grid(F, [1.0], [1.0], sample, M=64),
+        lambda: subharmonicity_stats(F, [0.5, 1.0, 1.5], [0.5, 1.0, 1.5], sample, M=64),
+    )
+    for query in sphere_queries:
+        for _ in range(2):  # a failed build is never kept, so it is tried again
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                query()
 
 
 # the roots of a slice in a disk |z| <= t: slice_divisor clusters them by

@@ -14,6 +14,7 @@ from starfn.slicing import (
     small_n_rows,
 )
 from starfn.sphere import (
+    QUAD_SLACK,
     AllDirectionsSkippedError,
     DirectionSample,
     Estimate,
@@ -482,6 +483,23 @@ def test_subharmonicity_generic_product_strictly_positive_somewhere():
     assert subharmonicity_report(F, GRID_R, GRID_TH, sample, M=512) == []
     stats = subharmonicity_stats(F, GRID_R, GRID_TH, sample, M=512)
     assert any(st.mean_diff > 3 * st.stderr and st.mean_diff > 0 for st in stats)
+
+
+def test_subharmonicity_report_flags_points_of_a_one_direction_sample():
+    # one direction gives every point a stderr of 0, and at M=16 the
+    # quadrature error of its slice puts four points below the slack.  F is
+    # test_starcore's RATIONAL
+    F = parse_function(
+        "(1 + (0.3-1.1*i)*z1^2*z2 - 0.7*z1*z2 + 2*z2^3) / (1 + (1.2+0.4*i)*z1 - 0.5*z1^2*z2^2)", 2
+    )
+    r_values = np.linspace(0.5, 2.0, 6)
+    theta_values = np.linspace(0.3, math.pi - 0.3, 6)
+    violations = subharmonicity_report(F, r_values, theta_values, sample_directions(2, 1, seed=0), M=16)
+    assert [(v.i, v.j, v.r, v.stderr, v.threshold) for v in violations] == [
+        (4, j, 1.7, 0.0, -QUAD_SLACK) for j in (1, 2, 3, 4)
+    ]
+    assert violations[0].theta == pytest.approx(0.808, abs=5e-4)
+    assert violations[0].mean_diff == pytest.approx(-9.57e-4, abs=5e-7)
 
 
 def test_subharmonicity_input_validation():

@@ -99,6 +99,9 @@ def test_level_threshold_quarter():
     t = level_threshold(s, math.pi / 2)
     assert not t.degenerate
     assert float(t) == pytest.approx(math.log(math.sqrt(2)), abs=1e-3)
+    for theta in (0.0, math.pi):
+        with pytest.raises(ValueError, match=r"theta must lie in \(0, pi\)"):
+            level_threshold(s, theta)
 
 
 def test_threshold_tends_to_min():
@@ -472,57 +475,31 @@ def test_star_rows_rejects_a_bad_thread_count(monkeypatch, value):
         star_rows(g, h, poles, 1.2, [0.5], 192)
 
 
-def test_star_rows_with_a_radius_per_row_gives_each_row_its_own_call(monkeypatch):
-    # 60 rows at M=4096 make three blocks of 24.  Rows 23 (the first block's
-    # last) and 27 are turned so that the gate sends them, each at its own
-    # radius, to Horner's rule; the others have radii from 0.5 to 2.  The
-    # batches have unequal degrees, a constant h and a constant g
-    M, thetas = 4096, [0.0, 0.4, math.pi / 2, 2.9, math.pi]
-    chunk = BLOCK_CELLS // M
-    rows, gated = 2 * chunk + chunk // 2, (chunk - 1, chunk + 3)
-    dirs = sample_directions(2, rows, seed=9).directions.copy()
-    radii = np.linspace(0.5, 2.0, rows)
-    for i in gated:
-        turned, radii[i] = _zero_near_node(RATIONAL, Direction(tuple(dirs[i])), M)
-        dirs[i] = turned.components
-    reciprocal = MeroFunction(POLYNOMIAL.denominator, POLYNOMIAL.numerator, 2)
-    batches = [_slice_rows(F, dirs) for F in (RATIONAL, POLYNOMIAL, reciprocal)]
-    assert [(g.shape[1], h.shape[1]) for g, h, _ in batches] == [(4, 5), (3, 1), (1, 3)]
-    g, h, _ = batches[0]
-    assert radii[gated[0]] != radii[gated[1]]
-    trig = [_trig_rows_ok(g[i : i + 1], h[i : i + 1], radii[i], M) for i in range(rows)]
-    assert not any(trig[i] for i in gated) and sum(trig) > rows // 2
-    for threads in ("1", "2"):
-        monkeypatch.setenv("STARFN_THREADS", threads)
-        for g, h, poles in batches:
-            got = star_rows(g, h, poles, radii, thetas, M)
-            big_N = big_N_rows(poles, radii)
-            for i, r in enumerate(radii.tolist()):
-                one = star_rows(g[i : i + 1], h[i : i + 1], poles[:, i : i + 1], r, thetas, M)
-                assert np.array_equal(got[:, i], one[:, 0])
-                assert big_N[i] == big_N_rows(poles[:, i : i + 1], r)[0]
-
-
 def test_star_rings_gives_each_value_the_bits_of_its_ring_alone(monkeypatch):
     # 30 rings make two blocks at M=4096 (24 rows each) and one below.  The
     # thetas hold both ends (k = 0 and k = M), pi/2 (frac = 0 at every M
     # here), a repeated theta and ranks shared between rings; ring 5's radius
-    # puts a zero 1e-7 outside the circle next to a node, so the gate sends
-    # it to Horner's rule, and ring 9 repeats ring 3's radius.  The slices
-    # have unequal degrees, a constant h and a constant g
+    # puts a zero 1e-7 outside the circle next to a node and ring 27's puts
+    # it 1e-7 inside, so the gate sends both, each at its own radius, to
+    # Horner's rule (in one block at M=256, in two at M=4096); ring 9
+    # repeats ring 3's radius.  The slices have unequal degrees, a constant
+    # h and a constant g
     zeta = Direction.of((0.6 + 0.2j, -0.5 + 0.6j))
     reciprocal = MeroFunction(POLYNOMIAL.denominator, POLYNOMIAL.numerator, 2)
     for M in (256, 4096):
         turned, r_gated = _zero_near_node(RATIONAL, zeta, M)
+        inside, r_inside = _zero_near_node(RATIONAL, zeta, M, gap=-1e-7)
+        assert inside == turned and r_inside != r_gated
         radii = list(np.linspace(0.5, 2.0, 30))
-        radii[5], radii[9] = r_gated, radii[3]
+        radii[5], radii[9], radii[27] = r_gated, radii[3], r_inside
         base = [0.0, 0.4, math.pi / 2, 2.9, math.pi]
         rings = [(r, base[i % 5 :] + base[: i % 3] + [1.1, 1.1]) for i, r in enumerate(radii)]
         for F in (RATIONAL, POLYNOMIAL, reciprocal):
             poles, s = slice_divisor(F, turned).logroots(math.inf), make_slice(F, turned)
             g, h = s.g, s.h
             if F is RATIONAL:
-                assert not _trig_rows_ok(g, h, r_gated, M) and _trig_rows_ok(g, h, radii[0], M)
+                assert not _trig_rows_ok(g, h, r_gated, M) and not _trig_rows_ok(g, h, r_inside, M)
+                assert _trig_rows_ok(g, h, radii[0], M)
             want = np.concatenate([star_rows(g, h, poles, r, thetas, M)[:, 0] for r, thetas in rings])
             for threads in ("1", "2"):
                 monkeypatch.setenv("STARFN_THREADS", threads)
