@@ -212,10 +212,20 @@ def horner_rows(coef: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def circle_log_values(g_coef: np.ndarray, h_coef: np.ndarray, w: np.ndarray) -> np.ndarray:
     """log|g(w)| - log|h(w)| row by row: -inf at a zero, +inf at a pole and
-    NaN at a common zero of g and h (see starcore.sanitize_log_values)."""
+    NaN at a common zero of g and h (see starcore.sanitize_log_values).
+
+    Raises ValueError unless every |g(w)| and |h(w)| is finite: where
+    Horner's rule overflows, log|g| - log|h| would be inf or, where both
+    sides overflow, a NaN that reads as a common zero.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_abs = np.abs(horner_rows(g_coef, w))
+        h_abs = np.abs(horner_rows(h_coef, w))
+    if not (np.isfinite(g_abs).all() and np.isfinite(h_abs).all()):
+        raise ValueError("non-finite circle value")
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.log(np.abs(horner_rows(g_coef, w)))
-        vals -= np.log(np.abs(horner_rows(h_coef, w)))
+        vals = np.log(g_abs, out=g_abs)
+        vals -= np.log(h_abs, out=h_abs)
     return vals
 
 
@@ -312,13 +322,10 @@ def _meeting(coef: np.ndarray, roots: np.ndarray) -> np.ndarray:
     row overlap; a disc does not meet itself, and NaN padding meets none."""
     count, width = roots.shape
     meet = np.empty((width, width, count), dtype=bool)
-    block = 1024  # rows per block: the inclusion radii's temporaries stay small
-    for lo in range(0, count, block):
-        rows = slice(lo, lo + block)
-        z, radii = roots[rows].T, inclusion_radii(coef[rows], roots[rows]).T
-        for j in range(width):
-            meet[j, :, rows] = np.abs(z - z[j]) <= radii + radii[j]
-            meet[j, j, rows] = False
+    z, radii = roots.T, inclusion_radii(coef, roots).T
+    for j in range(width):
+        meet[j] = np.abs(z - z[j]) <= radii + radii[j]
+        meet[j, j] = False
     return np.moveaxis(meet, 2, 0)
 
 
@@ -558,6 +565,7 @@ def circle_values(F: MeroFunction, zeta: Direction, r: float, M: int) -> np.ndar
     The slice zeta keeps holds the values of its last (r, M), r and M
     matched by value, so the circle queries on one slice evaluate it once.
     """
+    check_positive(r, "r")
     return _on_slice(F, zeta, lambda s: s.circle(r, M))
 
 

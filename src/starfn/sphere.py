@@ -13,13 +13,14 @@ measure zero, so skips are rare and the estimate is unbiased in the limit.
 Everything slice-related is evaluated for all directions at once, with the
 batched primitives of ``slicing`` and the T* kernel ``starcore.star_rows``
 that the single-slice API runs too.  The slices of F along a
-sample are one ``SliceBatch``, which ``DirectionSample.slices(F)`` builds:
-T*, the counting functions and the Lelong numbers all come from it.  The
-sample keeps the batch of the last F it served, so calls that share
-(F, sample) find the roots once, with unchanged results.  The kernel may
-run on several threads (``starcore`` says how many), but each direction's
-T* is computed alone and the estimates sum the directions in one fixed
-order, so results are bit-identical for a fixed seed at any STARFN_THREADS.
+sample are one ``SliceBatch``, which ``DirectionSample.slices(F)`` builds
+in blocks of BUILD_ROWS directions: T*, the counting functions and the
+Lelong numbers all come from it.  The sample keeps the batch of the last F
+it served, so calls that share (F, sample) find the roots once, with
+unchanged results.  The build and the kernel may run on several threads
+(``starcore`` says how many), but each direction's slice and T* are
+computed alone and the estimates sum the directions in one fixed order, so
+results are bit-identical for a fixed seed at any STARFN_THREADS.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .slicing import (
     slice_coefficients,
     small_n_rows,
 )
-from .starcore import check_circle, star_rows
+from .starcore import check_circle, run_blocks, star_rows
 
 __all__ = [
     "AllDirectionsSkippedError",
@@ -66,6 +67,9 @@ __all__ = [
 
 #: the quadrature slack in subharmonicity_report's allowance for a point
 QUAD_SLACK = 1e-4
+#: directions per block of DirectionSample.slices: a block's companion
+#: matrices and root distances stay small
+BUILD_ROWS = 1024
 
 
 class AllDirectionsSkippedError(RuntimeError):
@@ -145,6 +149,14 @@ class DirectionSample:
         F and the sample are immutable, so the batch of the last F (by
         identity) is kept and returned again.  A miss drops the kept batch
         before building; a failure is raised and never kept.
+
+        The build fills the whole sample's coefficients, root log-moduli and
+        keep mask in blocks of BUILD_ROWS directions on the T* kernel's
+        threads (``starcore.run_blocks``).  Each block finds its own roots
+        and their separation, so those temporaries grow with the threads,
+        not with the directions.  The arrays are compressed to the kept
+        directions only when some were skipped.  Every step is row by row,
+        so no bit depends on the blocks or the threads.
         """
         slot = self._slot
         if slot is not None and slot[0] is F:
@@ -152,21 +164,34 @@ class DirectionSample:
         if self.n != F.n:
             raise ValueError("sample dimension does not match F")
         object.__setattr__(self, "_slot", None)
-        g_coef = slice_coefficients(F.numerator, self.directions)
-        h_coef = slice_coefficients(F.denominator, self.directions)
-        g_roots = batched_roots(g_coef)
-        h_roots = batched_roots(h_coef)
-        keep = root_separation(g_coef, g_roots, h_coef, h_roots) > INDETERMINACY_TOL
+        count = self.count
+        g_deg, h_deg = F.numerator.degree(), F.denominator.degree()
+        g_coef = np.empty((count, g_deg + 1), dtype=complex)
+        h_coef = np.empty((count, h_deg + 1), dtype=complex)
+        g_logroots = np.empty((g_deg, count))
+        h_logroots = np.empty((h_deg, count))
+        keep = np.empty(count, dtype=bool)
+
+        def block(lo: int, hi: int) -> None:
+            dirs = self.directions[lo:hi]
+            g = slice_coefficients(F.numerator, dirs)
+            h = slice_coefficients(F.denominator, dirs)
+            g_coef[lo:hi], h_coef[lo:hi] = g, h
+            g_roots, h_roots = batched_roots(g), batched_roots(h)
+            keep[lo:hi] = root_separation(g, g_roots, h, h_roots) > INDETERMINACY_TOL
+            g_logroots[:, lo:hi] = log_moduli(g_roots)
+            h_logroots[:, lo:hi] = log_moduli(h_roots)
+
+        run_blocks(count, BUILD_ROWS, block)
         if not keep.any():
             raise AllDirectionsSkippedError(
                 "all sampled directions were near-indeterminate (tol %.1e)" % INDETERMINACY_TOL
             )
+        if not keep.all():
+            g_coef, h_coef = g_coef.compress(keep, axis=0), h_coef.compress(keep, axis=0)
+            g_logroots, h_logroots = g_logroots.compress(keep, axis=1), h_logroots.compress(keep, axis=1)
         batch = SliceBatch(
-            total=self.count,
-            g_coef=g_coef[keep],
-            h_coef=h_coef[keep],
-            g_logroots=log_moduli(g_roots[keep]),
-            h_logroots=log_moduli(h_roots[keep]),
+            total=count, g_coef=g_coef, h_coef=h_coef, g_logroots=g_logroots, h_logroots=h_logroots
         )
         object.__setattr__(self, "_slot", (F, batch))
         return batch

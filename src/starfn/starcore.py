@@ -19,7 +19,7 @@ agreement is one of the package's standing cross-checks.
 rank k, and ``star_rows``, the one T* kernel, runs it on the slice
 coefficients of all sampled directions or of a single one, in blocks of
 ``BLOCK_CELLS`` samples: 512 rows at M = 192, 96 at M = 1024, 24 at
-M = 4096.  ``star_rings`` runs the same blocks (``_run_blocks``) and circle
+M = 4096.  ``star_rings`` runs the same blocks (``run_blocks``) and circle
 code (``_sorted_rows``) on one slice, one row per ring radius of a
 stencil, and sums only the (ring, rank) pairs that the stencil's thetas
 read.  A block's temporaries must fit one core's L2 cache (2 MiB on the
@@ -46,8 +46,9 @@ about (2d+1) eps / TRIG_GATE, with d the larger degree: 3e-9 at d = 6,
 against eps / sqrt(TRIG_GATE) = 2e-13 for Horner's rule at the same node.
 That is a worst case; on the benchmark pools T* moved by at most 2e-13
 against Horner's rule (measured).  Any other row (a zero or pole near a
-node, a NaN, an overflow) takes Horner's rule and ``sanitize_log_values``,
-its values doubled.  The coefficients meet the cached basis
+node, a NaN, an overflow) takes Horner's rule, which refuses a value that
+overflows (``circle_log_values``), and ``sanitize_log_values``, its values
+doubled.  The coefficients meet the cached basis
 (1, 2cos lx, -2sin lx) in ``np.einsum`` without BLAS: a BLAS product may
 round a row differently with its position in the matrix or the BLAS thread
 count, and a row's values must not depend on the batch or on
@@ -60,7 +61,8 @@ the next unclaimed block until none is left, so a thread whose core is busy
 elsewhere leaves its blocks to the others rather than holding up the call.
 The pool lives for the call alone, and a one-block call starts no thread;
 ``slice_harmonicity_test``'s ``star_rings`` call, one row per ring radius,
-is one block up to M = 4096.  numpy releases the GIL inside its array
+is one block up to M = 4096.  ``sphere`` builds its slice batches on the
+same threads (``run_blocks``).  numpy releases the GIL inside its array
 loops, and every row's bits are those of the serial call.
 """
 
@@ -261,7 +263,8 @@ def sanitize_log_values(vals: np.ndarray) -> tuple[np.ndarray, int]:
     A node landing exactly on a slice zero gives -inf (clamped to the
     floor), an exact pole gives +inf (clamped to the ceiling), and an exact
     zero of both g and h gives NaN, which is the removable 0/0 of a common
-    factor and is set to 0.  Evaluation never aborts.
+    factor and is set to 0.  ``circle_log_values`` refuses values that
+    overflow, so a NaN here is such a zero.
     """
     vals = np.where(np.isnan(vals), 0.0, vals)
     clipped = int(np.count_nonzero((vals < LOG_FLOOR) | (vals > LOG_CEILING)))
@@ -360,23 +363,29 @@ def _sorted_rows(g_coef: np.ndarray, h_coef: np.ndarray, r, M: int) -> np.ndarra
     return vals
 
 
-def _run_blocks(rows: int, M: int, block) -> None:
-    """block(lo, hi) over rows 0..rows-1 in blocks of BLOCK_CELLS samples;
-    each of ``_thread_count`` threads claims the next unclaimed block until
-    none is left, and a one-block call starts no thread."""
-    chunk = max(1, BLOCK_CELLS // M)
+def run_blocks(rows: int, chunk: int, block) -> None:
+    """block(lo, hi) over rows 0..rows-1 in blocks of chunk rows; each of
+    ``_thread_count`` threads claims the next unclaimed block until none is
+    left, and a one-block call starts no thread.  Once a block raises, no
+    further block is handed out, and the call raises that error."""
     starts = iter(range(0, rows, chunk))
     claim = threading.Lock()
 
     def work() -> None:
         # a fixed share per thread would wait for the slowest thread; taking
         # the next unclaimed block lets a thread on a busy core do fewer
+        nonlocal starts
         while True:
             with claim:
                 lo = next(starts, None)
             if lo is None:
                 return
-            block(lo, min(lo + chunk, rows))
+            try:
+                block(lo, min(lo + chunk, rows))
+            except BaseException:
+                with claim:
+                    starts = iter(())
+                raise
 
     threads = _thread_count(-(-rows // chunk))
     if threads > 1:
@@ -394,7 +403,7 @@ def star_rows(
     per row, with poles at log-moduli pole_logroots, one per column (the
     root-major (D, rows) layout of ``big_N_rows``): array (len(thetas), rows),
     at the one radius r.  Rows run in blocks of BLOCK_CELLS samples
-    (``_run_blocks``).  A row's arithmetic does not depend on its block, so
+    (``run_blocks``).  A row's arithmetic does not depend on its block, so
     neither does the result.  The values log(|g|^2/|h|^2) (module
     docstring) are halved after the bathtub."""
     unit_nodes(M)
@@ -403,7 +412,7 @@ def star_rows(
     def block(lo: int, hi: int) -> None:
         out[:, lo:hi] = _top_means(_sorted_rows(g_coef[lo:hi], h_coef[lo:hi], r, M), thetas)
 
-    _run_blocks(g_coef.shape[0], M, block)
+    run_blocks(g_coef.shape[0], max(1, BLOCK_CELLS // M), block)
     out *= 0.5
     out += big_N_rows(pole_logroots, r)
     return out
@@ -418,7 +427,7 @@ def star_rings(
     values have the bits of ``star_rows(g_coef, h_coef, pole_logroots,
     radius, thetas, M)[:, 0]``.
 
-    Each ring is a row of ``_run_blocks``, with one circle evaluation and
+    Each ring is a row of ``run_blocks``, with one circle evaluation and
     sort (``_sorted_rows``); its block then takes one top-k sum per (ring,
     rank) that the thetas read, where ``star_rows`` sums every rank of
     every row.  The rest is vectorised over all values with the operations
@@ -455,7 +464,7 @@ def star_rings(
         # entry M-1-k, below the top k; at k = M, where frac is 0, entry 0 stands in
         below[span] = asc[rows, np.maximum(M - 1 - ranks, 0)]
 
-    _run_blocks(count, M, block)
+    run_blocks(count, max(1, BLOCK_CELLS // M), block)
     values = np.multiply(below, frac)
     values += top
     values /= M

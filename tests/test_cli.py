@@ -246,6 +246,15 @@ def test_a_slice_coefficient_that_overflows_exits_2(tmp_path, capsys):
     assert captured.out == "" and captured.err == "starfn: non-finite coefficient\n"
 
 
+def test_a_circle_value_that_overflows_exits_2(tmp_path, capsys):
+    # at r = 1e10 the slice's value on the circle is about 1e310
+    fn = _write_fn(tmp_path, "f.json", {"n": 2, "numerator": "1 + 1e300*z1"})
+    argv = ["slice-star", "--fn", fn, "--zeta", "1,0", "--r", "1e10", "--theta", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "starfn: non-finite circle value\n"
+
+
 def test_check_subharmonic_rejects_tiny_grid(tmp_path, capsys):
     fn = _write_fn(tmp_path, "f.json", PRODUCT_SRC)
     status = main(

@@ -154,6 +154,35 @@ def test_a_slice_coefficient_that_overflows_is_refused():
                 query()
 
 
+def test_a_circle_value_that_overflows_is_refused():
+    # Horner's rule overflows on g alone at r = 1e10, where log|g| - log|h|
+    # would be +inf, and on both sides at r = 1e300, where inf - inf is a NaN
+    # that would read as a common zero and become 0
+    cases = (
+        (parse_function("1 + 1e300*z1", 2), Direction.of([1, 0]), 1e10),
+        (parse_function("(1 + z1^2) / (1 - z2^2)", 2), Direction.of([1, 1]), 1e300),
+    )
+    sample = sample_directions(2, 50, seed=0)
+    for F, zeta, r in cases:
+        queries = (
+            lambda: circle_values(F, zeta, r, 64),
+            lambda: circle_log_samples(F, zeta, r, 64),
+            lambda: slice_star_total(F, zeta, r, 1.0, 64),
+            lambda: jensen_residual(F, zeta, r, 64),
+            # the rows' rounding scale overflows, so the gate sends them to Horner's rule
+            lambda: star_several(F, r, 1.0, sample, M=64),
+        )
+        for query in queries:
+            with pytest.raises(ValueError, match="non-finite circle value"):
+                query()
+        assert np.isfinite(circle_values(F, zeta, 1.0, 64)).all()  # the slice is fine at r = 1
+    # an exact zero, a common zero and an exact pole keep -inf, NaN and +inf
+    g = np.array([[1, -1], [1, -1], [1, 1]], dtype=complex)
+    h = np.array([[1, 1], [1, -1], [1, -1]], dtype=complex)
+    vals = circle_log_values(g, h, np.ones(1))
+    assert vals[0, 0] == -math.inf and math.isnan(vals[1, 0]) and vals[2, 0] == math.inf
+
+
 # the roots of a slice in a disk |z| <= t: slice_divisor clusters them by
 # their inclusion discs, and counting_small_n counts those in the disk
 UNIT = Direction((1.0,))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from starfn.slicing import (
     big_N_rows,
     counting_record,
     indeterminacy_test,
+    slice_coefficients,
     slice_divisor,
     small_n_rows,
 )
@@ -690,6 +692,77 @@ def test_slice_batch_arrays_are_read_only():
         for coef, logroots in ((b.g_coef, b.g_logroots), (b.h_coef, b.h_logroots)):
             assert logroots.shape == (coef.shape[1] - 1, b.kept)
             assert logroots.flags.c_contiguous
+
+
+def _bits(batch: SliceBatch) -> list[tuple[tuple[int, ...], bool, bytes]]:
+    arrays = (batch.g_coef, batch.h_coef, batch.g_logroots, batch.h_logroots)
+    return [(a.shape, a.flags.c_contiguous, a.tobytes()) for a in arrays]
+
+
+def test_a_blocked_build_has_the_bits_of_a_one_block_build(monkeypatch):
+    # G's slice along (1, 1) is indeterminate; with 7-row blocks that
+    # direction, row 9, sits in the second of three blocks
+    G = parse_function("(1-z1)^2*(1+z2) / ((1-z2)^2*(1+z1))", 2)
+    dirs = sample_directions(2, 20, seed=5).directions.copy()
+    dirs[9] = Direction.of((1.0, 1.0)).components
+
+    def build() -> SliceBatch:
+        return DirectionSample(n=2, seed=5, count=20, directions=dirs).slices(G)
+
+    one_block = build()
+    assert (one_block.total, one_block.kept, one_block.skipped) == (20, 19, 1)
+    assert np.array_equal(one_block.g_coef, np.delete(slice_coefficients(G.numerator, dirs), 9, axis=0))
+    calls = _count_root_calls(monkeypatch)
+    monkeypatch.setattr("starfn.sphere.BUILD_ROWS", 7)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("STARFN_THREADS", threads)
+        calls.clear()
+        blocked = build()
+        assert sorted(calls) == [6, 6, 7, 7, 7, 7]  # g and h of each block
+        assert (blocked.total, blocked.kept, blocked.skipped) == (20, 19, 1)
+        assert _bits(blocked) == _bits(one_block)
+
+
+def test_a_build_that_fails_in_a_later_block_raises_on_every_call(monkeypatch):
+    # with 7-row blocks, row 16 is in the third block; along (1, 1, 1, 1)/2
+    # z's coefficient is 2e308, and on every other row it stays below 1e308
+    monkeypatch.setattr("starfn.sphere.BUILD_ROWS", 7)
+    F = parse_function("1 + 1e308*z1 + 1e308*z2 + 1e308*z3 + 1e308*z4", 4)
+    plain = parse_function("1 + z1 + z2 + z3 + z4", 4)
+    dirs = sample_directions(4, 80, seed=1).directions
+    dirs = dirs[np.abs(dirs.sum(axis=1)) < 1][:21].copy()
+    dirs[16] = 0.5
+    sample = DirectionSample(n=4, seed=1, count=21, directions=dirs)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("STARFN_THREADS", threads)
+        kept = sample.slices(plain)
+        for _ in range(2):  # the failed build left the slot empty
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                sample.slices(F)
+        assert sample.slices(plain) is not kept
+
+
+def test_a_build_holds_block_temporaries_not_whole_sample_ones(monkeypatch):
+    # a build that held the whole sample's roots, companion matrices and
+    # root distances peaked at 4.25x the kept batch of these 20k degree-6
+    # rows; blocks of BUILD_ROWS hold them for one block per thread (1.44x)
+    F = parse_function(
+        "(1 - 0.7*z1 + (0.4+0.3*i)*z2*z3 + 0.5*z1^2*z2 - (0.2-0.6*i)*z1*z3^3 + 0.3*z2^5"
+        " + (0.25+0.1*i)*z1^2*z2^2*z3^2) / (1 + 0.6*z3 - (0.3+0.5*i)*z1*z2 + 0.45*z2^3"
+        " + 0.35*z1^4*z3 - (0.5-0.2*i)*z1*z2^2*z3^3 + 0.2*z3^6)",
+        3,
+    )
+    sample = sample_directions(3, 20000, seed=9)
+    monkeypatch.setenv("STARFN_THREADS", "2")
+    tracemalloc.start()
+    try:
+        batch = sample.slices(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.g_logroots.shape == batch.h_logroots.shape == (6, 20000)
+    kept = sum(a.nbytes for a in (batch.g_coef, batch.h_coef, batch.g_logroots, batch.h_logroots))
+    assert peak <= 2 * kept
 
 
 def test_thread_env_does_not_change_results(monkeypatch):

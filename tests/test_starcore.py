@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,7 @@ from starfn.starcore import (
     StarValue,
     circle_log_samples,
     level_threshold,
+    run_blocks,
     sanitize_log_values,
     slice_star_total,
     star_rearranged,
@@ -465,6 +467,28 @@ def test_star_rows_claims_each_block_once_with_more_threads_than_cores(monkeypat
     assert not runner.is_alive()
     assert len(claimed) == 40 and sum(claimed) == rows
     assert np.array_equal(result[0], serial)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_blocks_hands_out_no_block_after_one_raises(monkeypatch, threads):
+    # the block at row 0 raises at once and the others take 10 ms each: a
+    # thread that is inside another block when one fails ends that block
+    # and claims no further one
+    monkeypatch.setenv("STARFN_THREADS", threads)
+    claimed = []
+
+    def block(lo: int, hi: int) -> None:
+        claimed.append(lo)
+        if lo == 0:
+            raise RuntimeError("block at row 0")
+        time.sleep(0.01)
+
+    with pytest.raises(RuntimeError, match="block at row 0"):
+        run_blocks(40, 3, block)
+    assert 0 in claimed and len(claimed) <= int(threads)
+    done = []
+    run_blocks(40, 3, lambda lo, hi: done.append((lo, hi)))
+    assert sorted(done) == [(lo, min(lo + 3, 40)) for lo in range(0, 40, 3)]
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
