@@ -32,7 +32,7 @@ from .harmonicform import (
     product_taylor_coeffs,
     slice_harmonicity_test,
 )
-from .slicing import Direction, check_positive, check_target, jensen_residual
+from .slicing import Direction, check_positive, check_target, check_tolerance, jensen_residual
 from .sphere import (
     AllDirectionsSkippedError,
     DirectionSample,
@@ -104,9 +104,10 @@ def load_grid(path: str) -> StarGrid:
 
 
 def _emit(payload: dict, ok: bool = True) -> int:
-    """Print payload as one JSON line; the exit status is 0 if ok, else 1."""
-    json.dump(payload, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    """Print payload as one JSON line; the exit status is 0 if ok, else 1.
+    A payload holding NaN or an infinity is not JSON: it raises ValueError
+    before anything is printed."""
+    sys.stdout.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
     return 0 if ok else 1
 
 
@@ -185,6 +186,7 @@ def _grid(args: argparse.Namespace) -> int:
 
 
 def _check_jensen(args: argparse.Namespace) -> int:
+    check_tolerance(args.tol)
     zeta = _direction(args.zeta)
     residual = jensen_residual(load_function(args.fn_path), zeta, args.r, args.circle)
     ok = residual <= args.tol

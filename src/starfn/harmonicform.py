@@ -34,7 +34,8 @@ import numpy as np
 
 from .funcdef import MeroFunction, MultiPoly, linear_form, load_json_object
 from .slicing import (
-    Direction, check_positive, horner_rows, make_slice, slice_coefficients, slice_divisor
+    Direction, check_positive, check_tolerance, horner_rows, make_slice, slice_coefficients,
+    slice_divisor,
 )
 from .sphere import mean_value_differences
 from .starcore import check_circle, star_rings
@@ -269,8 +270,9 @@ def detect_harmonic_form(F: MeroFunction, tol: float = REAL_TOL) -> DetectionRep
     most tol, and P's zeros and poles (the slice's, clustered and cancelled
     in pairs by ``slice_divisor``, scaled by q) on opposite rays, which the
     identity alone cannot enforce.  With P'(0) = eta_J / q = 1, such rays
-    force theta_hat = 0.
+    force theta_hat = 0.  tol must be nonnegative and finite.
     """
+    check_tolerance(tol)
     n, G, H = F.n, F.numerator, F.denominator
     axes = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     eta = tuple(G.coefficient(e) - H.coefficient(e) for e in axes)
@@ -386,14 +388,16 @@ def slice_harmonicity_test(
     True iff |circle mean - center| <= tol at every interior grid point.
     The subharmonic inequality always holds; equality at every point is the
     signature of a harmonic slice.  This is ``subharmonicity_stats``, stencil
-    and T* kernel, on the one direction zeta: M is checked first, then the
-    grid, once (``mean_value_differences``), and only then are the poles
-    found.  All rings are one ``star_rings`` call, which evaluates and sorts
-    the slice's circle once per ring radius and sums only the ranks the
+    and T* kernel, on the one direction zeta: M and tol (nonnegative and
+    finite) are checked first, then the grid, once
+    (``mean_value_differences``), and only then are the poles found.  All
+    rings are one ``star_rings`` call, which evaluates and sorts the
+    slice's circle once per ring radius and sums only the ranks the
     stencil reads, each value with the bits of a ``star_rows`` call of its
     own ring; the stencil adds that array one grid row at a time.
     """
     check_circle((), M)
+    check_tolerance(tol)
 
     def totals(rings: Sequence[tuple[float, Sequence[float]]]) -> list[np.ndarray]:
         poles = slice_divisor(F, zeta).logroots(math.inf)

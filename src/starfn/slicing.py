@@ -174,12 +174,26 @@ def batched_roots(coef: np.ndarray) -> np.ndarray:
 
     Leading coefficients at or below LEADING_TRIM times the row's largest
     are collection noise and dropped; rows are grouped by the degree left.
+
+    numpy divides complex numbers by Smith's rule, whose intermediate sums
+    reach |re| + |im| and so overflow from a modulus of about 2**1023.5.
+    A row whose largest modulus is at least 2**1022 has its parts scaled by
+    1/4 before the divisions.  Scaling both sides of a quotient by one power
+    of two changes none of its bits while their parts and the divisor's
+    reciprocal stay normal numbers (at least 2**-1022).  A divisor of modulus
+    2**1022 or more had a subnormal reciprocal, so its quotients now round
+    once where they rounded twice.
     """
     count, width = coef.shape
     D = width - 1
     roots = np.full((count, D), np.nan, dtype=complex)
     mags = np.abs(coef)
-    significant = mags > (LEADING_TRIM * mags.max(axis=1))[:, None]
+    largest = mags.max(axis=1)
+    significant = mags > (LEADING_TRIM * largest)[:, None]
+    huge = largest >= 2.0**1022
+    if huge.any():
+        coef = coef.copy()  # C-contiguous, so its real view is (count, 2 * width)
+        coef.view(float)[huge] *= 0.25
     eff = width - 1 - np.argmax(significant[:, ::-1], axis=1)
     for d in sorted(set(eff.tolist())):
         idx = np.nonzero(eff == d)[0]
@@ -243,6 +257,12 @@ def check_positive(value: float, name: str) -> None:
     finite; NaN is neither."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite")
+
+
+def check_tolerance(tol: float) -> None:
+    """A tolerance is nonnegative and finite; NaN is neither."""
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be nonnegative and finite")
 
 
 def check_target(a: float) -> None:
@@ -386,6 +406,8 @@ class CountingRecord:
     def __post_init__(self):
         check_positive(self.r, "radius")
         check_target(self.a)
+        if not math.isfinite(self.big_N):
+            raise ValueError("N(r, a) must be finite")
         if self.small_n < 0 or self.big_N < -1e-12:
             raise ValueError("counting functions are nonnegative")
 

@@ -21,6 +21,10 @@ unchanged results.  The build and the kernel may run on several threads
 (``starcore`` says how many), but each direction's slice and T* are
 computed alone and the estimates sum the directions in one fixed order, so
 results are bit-identical for a fixed seed at any STARFN_THREADS.
+
+The subharmonicity check adds its mean-value stencil one ring of T* at a
+time and holds one row of differences per open grid row, so its memory
+grows with a grid row, not with the grid.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -208,6 +212,8 @@ class Estimate:
     def __post_init__(self):
         if self.count_used < 1:
             raise ValueError("an estimate needs at least one direction")
+        if not (math.isfinite(self.mean) and math.isfinite(self.stderr)):
+            raise ValueError("an estimate's mean and stderr must be finite")
         if self.stderr < 0:
             raise ValueError("stderr is nonnegative")
 
@@ -390,8 +396,11 @@ def _stencil_rings(
     (``check_stencil``; rho None takes the default).  Returns the rings
     that ``totals`` gets, (radius, thetas) pairs, and then, in ring order,
     the interior row of each block of thetas - 2 values and whether it is
-    a centre block.  Cached per grid, so repeated tests on one grid check
-    and lay out their stencil once."""
+    a centre block.  Node rings come in order of first use, and the centre
+    rings in row order, each right after the last node ring that its row
+    (or a row before it) reads, so that a row's differences can be handed
+    on as soon as they are complete.  Cached per grid, so repeated tests on
+    one grid check and lay out their stencil once."""
     rho = check_stencil(r_values, theta_values, rho, circle_nodes)
     interior_r, interior_t = r_values[1:-1], theta_values[1:-1]
     psi = 2.0 * math.pi * np.arange(circle_nodes) / circle_nodes
@@ -408,11 +417,47 @@ def _stencil_rings(
             thetas, rows = rings.setdefault(float(radii[c]), ([], []))
             thetas += block
             rows.append(ii)
-    layout = [(radius, tuple(thetas)) for radius, (thetas, _) in rings.items()]
-    blocks = [(ii, False) for _, rows in rings.values() for ii in rows]
-    layout += [(r, interior_t) for r in interior_r]
-    blocks += [(ii, True) for ii in range(len(interior_r))]
+    last = {ii: k for k, (_, rows) in enumerate(rings.values()) for ii in rows}
+    layout, blocks, centre = [], [], 0
+    for k, (radius, (thetas, rows)) in enumerate(rings.items()):
+        layout.append((radius, tuple(thetas)))
+        blocks += [(ii, False) for ii in rows]
+        while centre < len(interior_r) and last[centre] <= k:
+            layout.append((interior_r[centre], interior_t))
+            blocks.append((centre, True))
+            centre += 1
     return tuple(layout), tuple(blocks)
+
+
+def _difference_rows(
+    r_values: Sequence[float],
+    theta_values: Sequence[float],
+    rho: float | None,
+    circle_nodes: int,
+    totals: Callable[[Sequence[tuple[float, Sequence[float]]]], Iterable[np.ndarray]],
+) -> Iterator[np.ndarray]:
+    """mean_value_differences one interior row at a time, in row order: a
+    row's (thetas - 2, columns) differences are handed out as soon as its
+    centre is subtracted.  A row is opened at its first node block, so only
+    the rows whose rings are under way are held."""
+    r_values = tuple(float(r) for r in r_values)
+    theta_values = tuple(float(t) for t in theta_values)
+    rings, blocks = _stencil_rings(r_values, theta_values, rho, circle_nodes)
+    width = len(theta_values) - 2
+    runs = (run for values in totals(rings) for run in values.reshape(-1, width, values.shape[1]))
+    open_rows: dict[int, np.ndarray] = {}
+    # a row's centre block comes after every node block of that row
+    for (ii, centre), run in zip(blocks, runs, strict=True):
+        if centre:
+            row = open_rows.pop(ii)
+            row /= circle_nodes
+            row -= run
+            yield row
+            continue
+        row = open_rows.get(ii)
+        if row is None:
+            row = open_rows[ii] = np.zeros(run.shape)
+        row += run
 
 
 def mean_value_differences(
@@ -431,33 +476,21 @@ def mean_value_differences(
     of node C - c, so mirrored nodes share their radius bit for bit.  The
     grid is checked and its stencil laid out once per grid
     (``_stencil_rings``), before ``totals`` is called.
-    ``totals(rings)`` takes every ring, a (radius, thetas) pair, the node
-    radii first and then one centre ring per interior row, and returns T*
-    at each ring's (radius, theta) in ring order, as arrays (values,
-    columns) that each hold one or more whole rings, one column per
-    direction.  A ring is a run of blocks of thetas - 2 values, one block
-    per interior row and node (or centre) of its radius, so the arrays are
-    added one block at a time: a node block to its row in place, in ring
-    order; a centre block, last, is subtracted from its row's sum over C.
-    The result has shape (rows - 2, thetas - 2, columns).
+    ``totals(rings)`` takes every ring, a (radius, thetas) pair: the node
+    radii in order of first use, and each interior row's centre ring, in row
+    order, after the last node ring of its row.  It returns T* at each
+    ring's (radius, theta) in ring order, as arrays (values, columns) that
+    each hold one or more whole rings, one column per direction.  A ring is
+    a run of blocks of thetas - 2 values, one block per interior row and
+    node (or centre) of its radius, so the arrays are added one block at a
+    time: a node block to its row in place, in ring order; a centre block,
+    last, is subtracted from its row's sum over C.  One row of differences
+    is held per open row, from its first node block to its centre (two rows
+    where rings mix rows), and ``subharmonicity_stats`` reads each row as it
+    is finished; here the rows are gathered into one array of shape
+    (rows - 2, thetas - 2, columns).
     """
-    r_values = tuple(float(r) for r in r_values)
-    theta_values = tuple(float(t) for t in theta_values)
-    rings, blocks = _stencil_rings(r_values, theta_values, rho, circle_nodes)
-    width = len(theta_values) - 2
-    runs = (run for values in totals(rings) for run in values.reshape(-1, width, values.shape[1]))
-    acc = None
-    # centre blocks are last, after every node block of their row
-    for (ii, centre), run in zip(blocks, runs, strict=True):
-        if acc is None:
-            acc = np.zeros((len(r_values) - 2, width, run.shape[1]))
-        row = acc[ii]
-        if centre:
-            row /= circle_nodes
-            row -= run
-        else:
-            row += run
-    return acc
+    return np.stack(list(_difference_rows(r_values, theta_values, rho, circle_nodes, totals)))
 
 
 def subharmonicity_stats(
@@ -475,8 +508,10 @@ def subharmonicity_stats(
     T* over ``circle_nodes`` points of the circle |z - z0| = rho minus
     T*(z0), estimated per-direction with common random numbers on the nodes
     of ``mean_value_differences``, after its grid check.  Each ring is one
-    lazy ``star_totals`` call, added a grid row at a time, so one ring's T*
-    of every kept direction is held at a time.
+    lazy ``star_totals`` call, added a grid row at a time, and each grid
+    row's statistics are taken as soon as its centre is subtracted, so one
+    ring's T* of every kept direction and one row of differences per open
+    row are held at a time, not the whole grid's.
     """
     check_circle((), M)
 
@@ -484,16 +519,18 @@ def subharmonicity_stats(
         batch = sample.slices(F)
         return (batch.star_totals(radius, thetas, M) for radius, thetas in rings)
 
-    diffs = mean_value_differences(r_values, theta_values, rho, circle_nodes, totals)
+    rows = _difference_rows(r_values, theta_values, rho, circle_nodes, totals)
     stats = []
-    for ii, r in enumerate(r_values[1:-1]):
+    # not zipped with r_values: zip may keep its first result tuple, and with
+    # it the first row of differences
+    for ii, diffs in enumerate(rows):
         for jj, th in enumerate(theta_values[1:-1]):
-            est = _estimate(diffs[ii, jj], diffs.shape[2])
+            est = _estimate(diffs[jj], diffs.shape[1])
             stats.append(
                 PointStat(
                     i=ii + 1,
                     j=jj + 1,
-                    r=float(r),
+                    r=float(r_values[ii + 1]),
                     theta=float(th),
                     mean_diff=est.mean,
                     stderr=est.stderr,

@@ -159,6 +159,18 @@ def test_grid_json_round_trip(tmp_path, capsys):
     assert np.array_equal(got.sample.directions, want.sample.directions)
 
 
+def test_load_grid_refuses_a_cell_that_is_not_finite(tmp_path, capsys):
+    fn = _write_fn(tmp_path, "f.json", RATIONAL_SRC)
+    out = tmp_path / "grid.json"
+    status, _ = _run(capsys, ["grid", "--fn", fn, *GRID_ARGS, "--out", str(out), "--format", "json"])
+    assert status == 0
+    data = json.loads(out.read_text())
+    data["cells"][1][2]["mean"] = math.nan
+    out.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="must be finite"):
+        load_grid(str(out))
+
+
 def test_grid_without_out_prints_payload(tmp_path, capsys):
     fn = _write_fn(tmp_path, "f.json", PRODUCT_SRC)
     status, got = _run(capsys, ["grid", "--fn", fn, *GRID_ARGS])
@@ -203,6 +215,30 @@ def test_check_jensen_exit_codes_track_tolerance(tmp_path, capsys):
     status, got = _run(capsys, base + ["--tol", repr(residual / 2)])
     assert status == 1
     assert got["pass"] is False
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_a_tolerance_that_is_not_nonnegative_and_finite_exits_2(tmp_path, capsys, tol):
+    fn = _write_fn(tmp_path, "f.json", {"n": 2, "numerator": "1 + z1 + z2"})
+    commands = (
+        ["check", "jensen", "--fn", fn, "--zeta", "0.8,0.6", "--r", "1.7"],
+        ["check", "harmonic-slice", "--fn", fn, "--zeta", "1,0", *HALF_GRID, "--circle", "1024"],
+        ["detect-harmonic", "--fn", fn],
+    )
+    for argv in commands:
+        assert main(argv) == 0  # 1 + z1 + z2 is P(Z . eta) with eta = (1, 1)
+        capsys.readouterr()
+        assert main([*argv, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "starfn: tol must be nonnegative and finite\n"
+
+
+def test_a_payload_that_is_not_finite_exits_2_and_prints_nothing(tmp_path, capsys, monkeypatch):
+    fn = _write_fn(tmp_path, "f.json", RATIONAL_SRC)
+    monkeypatch.setattr("starfn.cli.jensen_residual", lambda *args: math.nan)
+    assert main(["check", "jensen", "--fn", fn, "--zeta", "0.8,0.6", "--r", "1.7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("starfn: Out of range float values")
 
 
 def test_check_subharmonic_passes_on_a_zero_divisor(tmp_path, capsys):

@@ -154,6 +154,37 @@ def test_a_slice_coefficient_that_overflows_is_refused():
                 query()
 
 
+def test_a_leading_coefficient_near_the_largest_float_keeps_its_root():
+    # along row 14 of the sample z's coefficient is -1.10e308+1.15e308j: its
+    # modulus is finite, but the intermediate sums of numpy's complex division
+    # by it overflow, which gave a root of 0 and N(1, 0) = inf
+    F = parse_function("1 + 1e308*z1 + 1e308*z2 + 1e308*z3 + 1e308*z4", 4)
+    sample = sample_directions(4, 21, seed=1)
+    batch = sample.slices(F)
+    coef = batch.g_coef[14, 1]
+    assert 1e308 < abs(coef) < math.inf
+    root = batched_roots(batch.g_coef[14:15])[0, 0]
+    assert 0 < abs(root) and abs(coef * root + 1) < 1e-12
+    est = counting_several(F, 1.0, 0, sample)
+    assert math.isfinite(est.mean) and math.isfinite(est.stderr) and est.count_used == 21
+    record = counting_record(F, Direction(tuple(sample.directions[14])), 1.0, 0.0)
+    assert record.big_N == big_N_rows(batch.logroots(0), 1.0)[14] > 700
+
+
+def test_rows_scaled_before_division_keep_the_bits_of_an_unscaled_division():
+    # a row with a modulus of 2**1022 to 2**1023.5 is scaled first, though
+    # its plain division does not overflow; these leading coefficients have
+    # normal reciprocals, so the roots keep their bits
+    huge, lead = 0.6e308 + 0.6e308j, 1e300 + 2e300j
+    assert 2.0**1022 <= abs(huge) < 2.0**1023.5
+    linear = np.array([[huge, lead]])
+    assert batched_roots(linear)[0].tobytes() == (-linear[:, 0] / linear[:, 1]).tobytes()
+    quadratic = np.array([[1 + 2j, huge, lead]])
+    monic = quadratic[:, :2] / quadratic[:, 2:]
+    companion = np.array([[[0, -monic[0, 0]], [1, -monic[0, 1]]]])
+    assert batched_roots(quadratic).tobytes() == np.linalg.eigvals(companion).tobytes()
+
+
 def test_a_circle_value_that_overflows_is_refused():
     # Horner's rule overflows on g alone at r = 1e10, where log|g| - log|h|
     # would be +inf, and on both sides at r = 1e300, where inf - inf is a NaN
@@ -422,6 +453,9 @@ def test_counting_record_validation():
         CountingRecord(r=1.0, a=2.0, small_n=0, big_N=0.0)
     with pytest.raises(ValueError):
         CountingRecord(r=-1.0, a=0.0, small_n=0, big_N=0.0)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            CountingRecord(r=1.0, a=0.0, small_n=1, big_N=value)
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])

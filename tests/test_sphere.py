@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from starfn import sphere
 from starfn.funcdef import MeroFunction, MultiPoly, linear_form, parse_function
 from starfn.slicing import (
     Direction,
@@ -92,6 +93,9 @@ def test_estimate_validation():
         Estimate(mean=0.0, stderr=0.0, count_used=0)
     with pytest.raises(ValueError):
         Estimate(mean=0.0, stderr=-1e-3, count_used=5)
+    for mean, stderr in ((math.inf, 0.0), (-math.inf, 0.0), (math.nan, 0.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            Estimate(mean=mean, stderr=stderr, count_used=5)
 
 
 def test_constant_function_means_are_exactly_zero():
@@ -611,6 +615,54 @@ def test_mean_value_differences_refuses_totals_with_too_few_or_too_many_values(e
 
     with pytest.raises(ValueError):
         mean_value_differences(GRID_R, GRID_TH, None, 8, totals)
+
+
+@pytest.mark.parametrize(
+    "r_values, theta_values",
+    [(GRID_R, GRID_TH), (tuple(CRITERION_6_R), tuple(CRITERION_6_TH))],
+)
+def test_each_centre_ring_follows_the_last_node_ring_of_its_row(r_values, theta_values):
+    # on the 5x5 grid one ring holds node 0 of row 0 and node 4 of row 1
+    rings, blocks = sphere._stencil_rings(r_values, theta_values, None, 8)
+    width = len(theta_values) - 2
+    ring_of_block = [k for k, (_, thetas) in enumerate(rings) for _ in range(len(thetas) // width)]
+    assert len(ring_of_block) == len(blocks)
+    centre_rings = {ii: k for (ii, centre), k in zip(blocks, ring_of_block) if centre}
+    assert list(centre_rings) == list(range(len(r_values) - 2))
+    for ii, k in centre_rings.items():
+        assert rings[k] == (r_values[ii + 1], tuple(theta_values[1:-1]))
+        last = max(kk for (row, centre), kk in zip(blocks, ring_of_block) if row == ii and not centre)
+        # after the row's last node ring, and before any later node ring
+        assert last < k
+        assert all(kk in centre_rings.values() for kk in range(last + 1, k))
+    node_radii = [radius for k, (radius, _) in enumerate(rings) if k not in centre_rings.values()]
+    assert len(set(node_radii)) == len(node_radii)
+
+
+def test_subharmonicity_stats_holds_one_grid_row_of_differences_not_the_grid(monkeypatch):
+    # the same theta axis, sample and disks on 10 and on 2 interior rows: the
+    # rings have one size, so the peaks differ by less than one row of
+    # differences, where holding the whole grid costs 8 rows more
+    monkeypatch.setenv("STARFN_THREADS", "1")
+    theta_values = tuple(np.linspace(0.3, math.pi - 0.3, 10))
+    sample = sample_directions(2, 4000, seed=17)
+    kept = sample.slices(RATIO).kept
+    row_bytes = (len(theta_values) - 2) * kept * 8
+
+    def peak(r_values):
+        def call():
+            subharmonicity_stats(RATIO, r_values, theta_values, sample, M=64, rho=0.05)
+
+        call()  # the stencil's layout and the circle nodes are cached
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    many, few = peak(tuple(np.linspace(0.5, 2.0, 12))), peak(tuple(np.linspace(0.5, 2.0, 4)))
+    assert many - few < row_bytes
 
 
 # five (F, sample) calls of different kinds, each giving comparable values
