@@ -25,6 +25,7 @@ opposite ray.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from math import comb, factorial
@@ -122,6 +123,8 @@ class HarmonicForm:
     def __post_init__(self):
         if all(e == 0 for e in self.eta) and self.profile != (1 + 0j,):
             raise ValueError("eta = 0 forces the trivial profile (F == 1)")
+        if not all(cmath.isfinite(c) for c in self.profile):
+            raise ValueError("profile coefficients must be finite")
 
 
 @dataclass(frozen=True)
@@ -307,7 +310,10 @@ def detect_harmonic_form(F: MeroFunction, tol: float = REAL_TOL) -> DetectionRep
     for k in range(K + 1):
         tail = sum(h[j] * series[k - j] for j in range(1, min(k + 1, len(h))))
         series.append((g[k] if k < len(g) else 0j) - tail)
-    profile = tuple(s / q**k for k, s in enumerate(series))
+    try:
+        profile = tuple(s / q**k for k, s in enumerate(series))
+    except (OverflowError, ZeroDivisionError) as exc:  # q**k overflows, or underflows to 0
+        raise ValueError(f"the profile's powers of q = eta_J = {q} leave the float range") from exc
     form = HarmonicForm(eta=eta, profile=profile, residual=max(residuals))
     return DetectionReport(True, form, residuals, ray)
 

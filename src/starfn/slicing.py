@@ -183,6 +183,13 @@ def batched_roots(coef: np.ndarray) -> np.ndarray:
     reciprocal stay normal numbers (at least 2**-1022).  A divisor of modulus
     2**1022 or more had a subnormal reciprocal, so its quotients now round
     once where they rounded twice.
+
+    A root many orders of magnitude below the row's others may come back
+    from the eigenvalue iteration as an exact 0: those of h = 1 + 3.8e174 z
+    + 7e294 z^2 are 5e-121 and 0, where its small root is 2.6e-175.  A row
+    with a nonzero constant term has no root at 0, so such a row raises
+    ValueError rather than give log|z| = -inf.  Scaling z by a power of two
+    leaves the roots' ratio as it is, and the 0 with it.
     """
     count, width = coef.shape
     D = width - 1
@@ -210,6 +217,11 @@ def batched_roots(coef: np.ndarray) -> np.ndarray:
             roots[idx, :d] = np.linalg.eigvals(comp)
         except np.linalg.LinAlgError as exc:
             raise RootFindingError(f"root iteration did not converge: {exc}") from exc
+    lost = (roots == 0).any(axis=1) & (coef[:, 0] != 0)
+    if lost.any():
+        raise ValueError(
+            f"row {int(np.argmax(lost))} has a root too small against its others to find"
+        )
     return roots
 
 

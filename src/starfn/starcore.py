@@ -44,15 +44,23 @@ min |h|^2 over the nodes are at least ``TRIG_GATE`` times their
 (sum_k |a_k|)^2.  The gate bounds the error of a sample of such a row by
 about (2d+1) eps / TRIG_GATE, with d the larger degree: 3e-9 at d = 6,
 against eps / sqrt(TRIG_GATE) = 2e-13 for Horner's rule at the same node.
-That is a worst case; on the benchmark pools T* moved by at most 2e-13
+That is a worst case; on the benchmark pools T* moved by at most 2.3e-13
 against Horner's rule (measured).  Any other row (a zero or pole near a
 node, a NaN, an overflow) takes Horner's rule, which refuses a value that
 overflows (``circle_log_values``), and ``sanitize_log_values``, its values
-doubled.  The coefficients meet the cached basis
-(1, 2cos lx, -2sin lx) in ``np.einsum`` without BLAS: a BLAS product may
-round a row differently with its position in the matrix or the BLAS thread
-count, and a row's values must not depend on the batch or on
-STARFN_THREADS.
+doubled.
+
+The coefficients meet the cached basis (1, 2cos lx, -2sin lx) in one BLAS
+gemv per row: ``np.matmul`` of the (rows, 1, 2d+1) stack of C-contiguous
+coefficient rows with the basis makes the gemv call that a lone row makes,
+so a row's values do not depend on its batch, its block or STARFN_THREADS,
+nor (tested) on the BLAS thread count.  A strided row takes another route
+and loses those bits.  One gemm per block is refused: numpy sends a one-row
+product to gemv, whose bits differ from gemm's, and OpenBLAS threads a block
+gemm against the kernel's own threads (a 20k-row call at M = 1024 took 386
+ms on 2 threads, against 230 for an ``np.einsum`` contraction).  So the
+circle values carry the bits of the BLAS build as the roots carry LAPACK's;
+``tests/digests.json`` records the build its digests were taken on.
 
 ``star_rows`` runs a call of more than one block on threads: STARFN_THREADS
 of them if set (a positive integer), else one per CPU this process may run
@@ -203,6 +211,8 @@ class StarValue:
     def __post_init__(self):
         if not 0 <= self.theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
+        if not all(math.isfinite(v) for v in (self.fstar, self.big_N_inf, self.total)):
+            raise ValueError("a star value's fstar, big_N_inf and total must be finite")
         if self.total != self.fstar + self.big_N_inf:
             raise ValueError("total must equal fstar + big_N_inf exactly")
 
@@ -314,8 +324,9 @@ def _circle_abs2(coef: np.ndarray, r, M: int) -> tuple[np.ndarray, np.ndarray]:
     np.multiply(coef.T, r**powers, out=a)
     scale = np.add.reduce(np.abs(a), axis=0) ** 2
     c = np.add.reduce(padded.take(lags, axis=0) * a.conj()[:, None, :], axis=0)  # (d+1, rows)
-    trig = np.concatenate([c.real, c.imag[1:]])
-    values = np.einsum("kr,km->rm", trig, basis, optimize=False)
+    # one gemv per row (module docstring), on rows copied C-contiguous
+    trig = np.concatenate([c.real, c.imag[1:]]).T.copy()
+    values = np.matmul(trig[:, None, :], basis)[:, 0, :]
     ok = (np.minimum.reduce(values, axis=1) >= TRIG_GATE * scale) & (scale < TRIG_SCALE_MAX)
     return values, ok
 

@@ -151,6 +151,26 @@ def test_detect_trivial_and_cancelling_functions():
     assert rep.form.eta == (0j, 0j)
 
 
+def test_detect_refuses_a_profile_whose_powers_of_q_leave_the_float_range():
+    # q = eta_1 = 1e-200: q**2 underflows to 0, where s / q**2 raised
+    # ZeroDivisionError.  q = 1.6e75 with K = deg G + deg H = 5: q**5
+    # overflows, where it raised OverflowError.  Both forms pass the ray and
+    # residual tests, so only the profile fails
+    tiny = parse_function("1 + 1e-200*z1 + 1e-300*z1^2", 1)
+    quadruple_pole = MultiPoly(1, {(0,): 1, (1,): -4, (2,): 6, (3,): -4, (4,): 1})
+    huge = MeroFunction.from_polys(MultiPoly(1, {(0,): 1, (1,): 1.6e75}), quadruple_pole)
+    for F in (tiny, huge):
+        with pytest.raises(ValueError, match="float range"):
+            detect_harmonic_form(F)
+    with pytest.raises(ValueError, match="finite"):
+        HarmonicForm(eta=(1 + 0j,), profile=(1 + 0j, 1 + 0j, complex(math.inf, 0)), residual=0.0)
+    # where every q**k is a float, the profile is s / q**k as before: here
+    # q**2 = 1e-320 is subnormal and 1e-170 / q**2 is about 1e150
+    report = detect_harmonic_form(parse_function("1 + 1e-160*z1 + 1e-170*z1^2", 1))
+    q = 1e-160 + 0j
+    assert report.detected and report.form.profile == (1 + 0j, 1e-160 / q, 1e-170 / q**2)
+
+
 def test_detect_rejects_zeros_on_line_but_not_ray():
     # P = (1-u)(1+2u) = 1 + u - 2u^2 has real coefficients (the Taylor
     # criterion is satisfied) but zeros at 1 and -1/2 on opposite rays.

@@ -27,7 +27,8 @@ from starfn.slicing import (
     small_n_rows,
 )
 from starfn.sphere import (
-    counting_several, lelong_number, sample_directions, star_grid, star_several, subharmonicity_stats,
+    DirectionSample, counting_several, lelong_number, sample_directions, star_grid, star_several,
+    subharmonicity_stats,
 )
 from starfn.starcore import circle_log_samples, slice_star_total
 
@@ -179,10 +180,46 @@ def test_rows_scaled_before_division_keep_the_bits_of_an_unscaled_division():
     assert 2.0**1022 <= abs(huge) < 2.0**1023.5
     linear = np.array([[huge, lead]])
     assert batched_roots(linear)[0].tobytes() == (-linear[:, 0] / linear[:, 1]).tobytes()
-    quadratic = np.array([[1 + 2j, huge, lead]])
+    # its roots, about 0.69 and 3.8e7, are both found; a constant term of
+    # 1 + 2j would put the small one at 2.6e-308, lost to 0 (refused below)
+    quadratic = np.array([[0.5e308 + 0.3e308j, huge, lead]])
     monic = quadratic[:, :2] / quadratic[:, 2:]
     companion = np.array([[[0, -monic[0, 0]], [1, -monic[0, 1]]]])
     assert batched_roots(quadratic).tobytes() == np.linalg.eigvals(companion).tobytes()
+
+
+# h = 1 + 3.8e174 z + 7e294 z^2 has roots of modulus 5.5e-121 and 2.6e-175,
+# too far apart for one companion eigenvalue solve: the small one came back
+# as an exact 0, and N(r, inf) as inf
+TINY_ROOT_H = MultiPoly(2, {(0, 0): 1, (0, 1): 2.18e174 + 3.15e174j, (0, 2): 1.67e294 + 6.78e294j})
+TINY_ROOT_F = MeroFunction.from_polys(MultiPoly.constant(2, 1), TINY_ROOT_H)
+
+
+def test_a_root_lost_to_zero_is_refused():
+    row = np.array([[1, 2.18e174 + 3.15e174j, 1.67e294 + 6.78e294j]])
+    with pytest.raises(ValueError, match="root too small"):
+        batched_roots(row)
+    # a root at 0 of a row whose constant term is 0 is exact, and kept
+    assert sorted(batched_roots(np.array([[0, 1, 1.0 + 0j]]))[0].tolist(), key=abs) == [0j, -1 + 0j]
+    zeta = Direction((0j, 1 + 0j))
+    queries = (
+        lambda: slice_star_total(TINY_ROOT_F, zeta, 0.021, 1.0, M=256),
+        lambda: counting_big_N(TINY_ROOT_F, zeta, 0.021, math.inf),
+        lambda: jensen_residual(TINY_ROOT_F, zeta, 0.021, 256),
+    )
+    for query in queries:
+        with pytest.raises(ValueError, match="root too small"):
+            query()
+
+
+def test_a_sample_with_a_root_lost_to_zero_is_refused():
+    sample = DirectionSample(n=2, seed=0, count=2, directions=np.array([[0, 1], [0, 1j]]))
+    for query in (
+        lambda: counting_several(TINY_ROOT_F, 0.021, math.inf, sample),
+        lambda: star_several(TINY_ROOT_F, 0.021, 1.0, sample, M=256),
+    ):
+        with pytest.raises(ValueError, match="root too small"):
+            query()
 
 
 def test_a_circle_value_that_overflows_is_refused():

@@ -1,8 +1,11 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +274,10 @@ def test_star_value_invariants():
         StarValue(r=1.0, theta=4.0, fstar=0.0, big_N_inf=0.0, total=0.0)
     with pytest.raises(ValueError):
         StarValue(r=1.0, theta=1.0, fstar=0.5, big_N_inf=0.25, total=0.7)
+    # total == fstar + big_N_inf holds for each of these, and none is finite
+    for fstar, big_N_inf in ((0.5, math.inf), (-math.inf, 0.25), (math.nan, 0.0), (1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite"):
+            StarValue(r=1.0, theta=1.0, fstar=fstar, big_N_inf=big_N_inf, total=fstar + big_N_inf)
 
 
 def test_profile_invariants():
@@ -489,6 +496,41 @@ def test_run_blocks_hands_out_no_block_after_one_raises(monkeypatch, threads):
     done = []
     run_blocks(40, 3, lambda lo, hi: done.append((lo, hi)))
     assert sorted(done) == [(lo, min(lo + 3, 40)) for lo in range(0, 40, 3)]
+
+
+# one star_rows call on degree-6 slices at M = 1024, each row's circle
+# values a 13 x 1024 BLAS gemv, large enough that OpenBLAS may thread it;
+# the child prints the output's sha256 at STARFN_THREADS 1 and 2
+_BLAS_CHILD = """
+import hashlib, math, os
+from starfn.funcdef import parse_function
+from starfn.sphere import sample_directions
+from starfn.starcore import star_rows
+F = parse_function(
+    "(1 + z1 - 0.5*z2^2 + 0.3*z1^3*z2 + 0.2*z2^6) / (1 - 0.4*z1*z2 + 0.1*z1^6 - 0.2*z2^5)", 2
+)
+batch = sample_directions(2, 200, seed=21).slices(F)
+for threads in ("1", "2"):
+    os.environ["STARFN_THREADS"] = threads
+    out = star_rows(batch.g_coef, batch.h_coef, batch.h_logroots, 1.1, [0.4, math.pi / 2, 2.9], 1024)
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_the_blas_thread_count_changes_no_bit_of_star_rows():
+    src = str(Path(starcore.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = []
+    for blas_threads in ({var: "1" for var in _BLAS_THREAD_VARS}, {}):
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_CHILD], env={**env, **blas_threads},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests += proc.stdout.split()
+    assert len(digests) == 4 and len(set(digests)) == 1
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
