@@ -96,7 +96,6 @@ __all__ = [
     "LOG_FLOOR",
     "LOG_CEILING",
     "CircleSamples",
-    "RearrangedProfile",
     "StarValue",
     "LevelValue",
     "circle_log_samples",
@@ -131,7 +130,9 @@ class CircleSamples:
     """log|F(re^{ix_i} zeta)| at the M midpoint angles x_i.
 
     ``clipped`` counts samples clamped at either bound (floor hits near
-    zeros, ceiling hits at exact poles).  ``values`` is read-only.
+    zeros, ceiling hits at exact poles).  ``values`` is read-only, and so
+    is ``ascending``, their one sort, which the rearranged star and the
+    level threshold read.
     """
 
     r: float
@@ -156,35 +157,10 @@ class CircleSamples:
         object.__setattr__(self, "values", vals)
 
     @cached_property
-    def profile(self) -> "RearrangedProfile":
-        return RearrangedProfile(np.sort(self.values)[::-1])
-
-
-@dataclass(frozen=True, eq=False)
-class RearrangedProfile:
-    """Nonincreasing rearrangement of circle samples: from samples, a
-    reversed view of their ascending sort, whose top ``fstar`` reduces."""
-
-    sorted_values: np.ndarray
-
-    def __post_init__(self):
-        sv = np.asarray(self.sorted_values, dtype=float)
-        # NaN fails every comparison: with a neighbour, and a lone one with itself
-        if not (np.all(np.diff(sv) <= 0) and (sv.size != 1 or sv[0] == sv[0])):
-            raise ValueError("sorted_values must be nonincreasing and hold no NaN")
-        sv.setflags(write=False)
-        object.__setattr__(self, "sorted_values", sv)
-
-    def fstar(self, theta: float) -> float:
-        """Bathtub value: mean of the 2*theta-measure worth of top samples.
-        The one-rank case of ``_top_means``, with its bits."""
-        asc = self.sorted_values[::-1]
-        M = asc.shape[0]
-        k, frac = split_theta(float(theta), M)
-        top = np.add.reduce(asc[M - k :])
-        if frac:
-            top = top + frac * asc[M - 1 - k]
-        return float(top / M)
+    def ascending(self) -> np.ndarray:
+        asc = np.sort(self.values)
+        asc.setflags(write=False)
+        return asc
 
 
 class LevelValue(float):
@@ -248,7 +224,7 @@ def _top_means(asc: np.ndarray, thetas) -> np.ndarray:
     theta: shape (len(thetas),) + asc.shape[:-1].  A theta of rank k adds one
     sum of the top k entries, which depends on the row and k alone, to frac
     times entry M-1-k in place; one division by M ends the call.  Each value
-    takes the operations of ``RearrangedProfile.fstar``, so has its bits."""
+    takes the operations of ``star_rearranged``, so has its bits."""
     M = asc.shape[-1]
     out = np.empty((len(thetas),) + asc.shape[:-1])
     tops: dict[int, np.ndarray] = {}
@@ -498,8 +474,15 @@ def circle_log_samples(F: MeroFunction, zeta: Direction, r: float, M: int = 4096
 
 
 def star_rearranged(samples: CircleSamples, theta: float) -> float:
-    """sup_{|E|=2 theta} (1/2pi) int_E log|F| dx via decreasing rearrangement."""
-    return samples.profile.fstar(theta)
+    """sup_{|E|=2 theta} (1/2pi) int_E log|F| dx: the mean of the 2*theta
+    measure worth of top samples (bathtub principle).  The one-rank case of
+    ``_top_means``, with its bits."""
+    asc, M = samples.ascending, samples.M
+    k, frac = split_theta(float(theta), M)
+    top = np.add.reduce(asc[M - k :])
+    if frac:
+        top = top + frac * asc[M - 1 - k]
+    return float(top / M)
 
 
 def level_threshold(samples: CircleSamples, theta: float) -> LevelValue:
@@ -510,10 +493,10 @@ def level_threshold(samples: CircleSamples, theta: float) -> LevelValue:
     """
     if not 0 < theta < math.pi:
         raise ValueError("theta must lie in (0, pi)")
-    sv = samples.profile.sorted_values
+    asc = samples.ascending
+    # theta < pi, yet k = M can come out of rounding (M = 23 just below pi)
     k, _ = split_theta(theta, samples.M)
-    degenerate = bool(sv[0] == sv[-1])
-    return LevelValue(float(sv[min(k, samples.M - 1)]), degenerate)
+    return LevelValue(float(asc[-1 - min(k, samples.M - 1)]), bool(asc[0] == asc[-1]))
 
 
 def star_thresholded(samples: CircleSamples, theta: float) -> float:

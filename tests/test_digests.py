@@ -1,10 +1,11 @@
 """sha256 digests of fixed outputs, checked against ``digests.json``.
 
 Each case below computes one output from inline inputs: T* rows of the
-sphere kernel at M = 192, 1024 and 4096, counting and Lelong estimates, and
-the mean-value differences of the harmonic-slice test.  The digests must
-hold at STARFN_THREADS 1 and 2, so a change that claims to keep its outputs'
-bits is checked here rather than re-derived.
+sphere kernel at M = 192, 1024 and 4096, counting and Lelong estimates, the
+mean-value differences of the harmonic-slice test, and the single-slice
+route's circle samples, stars, levels and totals.  The digests must hold at
+STARFN_THREADS 1 and 2, so a change that claims to keep its outputs' bits is
+checked here rather than re-derived.
 
 The bits depend on the build: the circle values are BLAS gemv products and
 the roots LAPACK eigenvalues, and OpenBLAS picks its kernels by CPU.  So
@@ -29,7 +30,10 @@ import pytest
 from starfn.funcdef import parse_function
 from starfn.slicing import Direction, make_slice, slice_divisor
 from starfn.sphere import counting_several, lelong_number, mean_value_differences, sample_directions
-from starfn.starcore import star_rings, star_rows
+from starfn.starcore import (
+    circle_log_samples, level_threshold, slice_star_total, star_rearranged, star_rings, star_rows,
+    star_thresholded,
+)
 
 CORPUS_PATH = Path(__file__).with_name("digests.json")
 
@@ -42,6 +46,8 @@ F_N3 = parse_function("(1 + z1*z2 - 0.7*z3^2 + 0.2*z1^4) / (1 - 0.5*z2 + 0.3*z1*
 # P(Z.eta) with P = (1 + u/2)^2 and eta = (1, 2): every slice is harmonic
 F_RAY = parse_function("1 + z1 + 2*z2 + 0.25*z1^2 + z1*z2 + z2^2", 2)
 THETAS = [0.4, math.pi / 2, 2.9]
+# THETAS and the theta just below pi, whose rank is M at M = 23
+INTERIOR = [*THETAS, math.nextafter(math.pi, 0)]
 
 
 def _star(F, count, seed, r, thetas, M):
@@ -66,6 +72,25 @@ def _harmonic_differences():
     return mean_value_differences(r_values, theta_values, None, 8, totals)
 
 
+def _single_slice_route():
+    slices = [
+        (F_34, Direction.of((0.6 + 0.2j, -0.5 + 0.6j))),
+        (F_66, Direction.of((0.3 - 0.8j, 0.5 + 0.1j))),
+    ]
+    thetas = [0.0, *INTERIOR, math.pi]
+    out = []
+    for F, zeta in slices:
+        for r in (0.7, 1.3):
+            for M in (23, 1024, 8192):
+                samples = circle_log_samples(F, zeta, r, M)
+                out.append(samples.values)
+                out.append([star_rearranged(samples, th) for th in thetas])
+                out.append([level_threshold(samples, th) for th in INTERIOR])
+                out.append([star_thresholded(samples, th) for th in INTERIOR])
+                out.append([slice_star_total(F, zeta, r, th, M).total for th in thetas])
+    return np.concatenate(out)
+
+
 # each sphere case spans more than one block, so STARFN_THREADS=2 runs threads
 CASES = {
     "star_rows_M192": lambda: _star(F_34, 1200, 31, 1.1, list(np.linspace(0.1, 3.0, 16)), 192),
@@ -74,6 +99,7 @@ CASES = {
     "counting_several": lambda: _estimates(counting_several, [(1.0, math.inf), (2.0, 0.0)]),
     "lelong_number": lambda: _estimates(lelong_number, [(0.5, 0.0), (2.0, math.inf)]),
     "harmonic_slice_differences": _harmonic_differences,
+    "single_slice_route": _single_slice_route,
 }
 
 

@@ -33,7 +33,6 @@ from starfn.starcore import (
     LOG_CEILING,
     LOG_FLOOR,
     CircleSamples,
-    RearrangedProfile,
     StarValue,
     circle_log_samples,
     level_threshold,
@@ -282,12 +281,22 @@ def test_star_value_invariants():
 
 def test_profile_invariants():
     s = make_samples(np.sin(np.linspace(0, 7, 128)))
-    prof = s.profile
-    assert np.all(np.diff(prof.sorted_values) <= 0)
+    asc = s.ascending
+    assert asc is s.ascending and not asc.flags.writeable
+    assert np.all(np.diff(asc) >= 0)
     for k in (0, 1, 37, 128):
-        assert abs(prof.fstar(k * math.pi / 128) - prof.sorted_values[:k].sum() / 128) <= 1e-12
-    with pytest.raises(ValueError):
-        RearrangedProfile(np.array([0.0, 1.0]))
+        assert abs(star_rearranged(s, k * math.pi / 128) - asc[128 - k :].sum() / 128) <= 1e-12
+
+
+def test_level_threshold_clamps_a_rank_of_m_just_below_pi():
+    # theta < pi, yet theta*M/pi rounds to M at M = 23: the level is the
+    # smallest sample, and the star the mean of all samples, as at pi
+    theta = math.nextafter(math.pi, 0)
+    assert starcore.split_theta(theta, 23) == (23, 0.0)
+    s = make_samples(np.sin(np.arange(23.0)))
+    t = level_threshold(s, theta)
+    assert float(t) == s.values.min() and not t.degenerate
+    assert star_rearranged(s, theta) == star_rearranged(s, math.pi)
 
 
 def test_samples_validation():
@@ -300,7 +309,7 @@ def test_samples_validation():
 
 
 
-def test_samples_and_profiles_reject_nan_and_a_negative_clip_count():
+def test_samples_reject_nan_and_a_negative_clip_count():
     # NaN fails no comparison, so each check must let it fail on its own
     for bad in (math.nan, LOG_FLOOR - 1.0, LOG_CEILING * 2, math.inf):
         values = np.zeros(16)
@@ -309,11 +318,8 @@ def test_samples_and_profiles_reject_nan_and_a_negative_clip_count():
             make_samples(values)
     with pytest.raises(ValueError, match="clipped must be >= 0"):
         CircleSamples(r=1.0, direction=Direction((1.0,)), M=16, values=np.zeros(16), clipped=-3)
-    for profile in ([3.0, math.nan, 1.0], [math.nan], [math.nan, 2.0], [2.0, math.nan]):
-        with pytest.raises(ValueError, match="nonincreasing and hold no NaN"):
-            RearrangedProfile(np.array(profile))
     edges = make_samples(np.array([LOG_CEILING] + [0.0] * 14 + [LOG_FLOOR]))
-    assert edges.profile.sorted_values[0] == LOG_CEILING
+    assert edges.ascending[0] == LOG_FLOOR and edges.ascending[-1] == LOG_CEILING
 
 
 # ---------------------------------------------------------------------------
