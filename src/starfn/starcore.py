@@ -44,22 +44,29 @@ min |h|^2 over the nodes are at least ``TRIG_GATE`` times their
 (sum_k |a_k|)^2.  The gate bounds the error of a sample of such a row by
 about (2d+1) eps / TRIG_GATE, with d the larger degree: 3e-9 at d = 6,
 against eps / sqrt(TRIG_GATE) = 2e-13 for Horner's rule at the same node.
-That is a worst case; on the benchmark pools T* moved by at most 2.3e-13
-against Horner's rule (measured).  Any other row (a zero or pole near a
+That is a worst case; on the benchmark pools T* moved by at most 3.7e-13
+against Horner's rule (measured: 12 ``subharm`` F, 10 radii x 16 theta at
+M = 192).  Any other row (a zero or pole near a
 node, a NaN, an overflow) takes Horner's rule, which refuses a value that
 overflows (``circle_log_values``), and ``sanitize_log_values``, its values
 doubled.
 
-The coefficients meet the cached basis (1, 2cos lx, -2sin lx) in one BLAS
-gemv per row: ``np.matmul`` of the (rows, 1, 2d+1) stack of C-contiguous
-coefficient rows with the basis makes the gemv call that a lone row makes,
-so a row's values do not depend on its batch, its block or STARFN_THREADS,
-nor (tested) on the BLAS thread count.  A strided row takes another route
-and loses those bits.  One gemm per block is refused: numpy sends a one-row
-product to gemv, whose bits differ from gemm's, and OpenBLAS threads a block
-gemm against the kernel's own threads (a 20k-row call at M = 1024 took 386
-ms on 2 threads, against 230 for an ``np.einsum`` contraction).  So the
-circle values carry the bits of the BLAS build as the roots carry LAPACK's;
+The coefficients meet the cached basis (1, 2cos lx, -2sin lx) in BLAS gemms
+of ``GEMM_ROWS`` = 8 rows: the rows are copied into a zero-padded
+(ceil(rows/8), 8, 2d+1) stack, and ``np.matmul`` makes one gemm of the same
+shape per 8 rows.  That gemm gives a row the same bits whatever its place
+in the 8 and whatever its neighbours, so a row's values do not depend on
+its batch, its block or STARFN_THREADS, nor (tested) on the BLAS thread
+count.  The padding is what keeps a lone row, or the last few rows of a
+block, off other routes with other bits: numpy sends a one-row product to
+gemv, and unpadded products of 5, 7 or 19 rows changed a row's bits.
+An 8-row product reads the basis once for 8 rows, where a gemv reads it for
+every row (2.2 us a row at d = 6, M = 1024).  At d = 6, M = 1024 and at
+d = 4, M = 4096 a call took the same time with one BLAS thread as with
+OpenBLAS's default, serial and on 2 threads; a block-sized gemm was threaded
+by OpenBLAS against the kernel's own threads (a 20k-row call at M = 1024
+took 386 ms on 2 threads, against 230 for an ``np.einsum`` contraction).  So the circle
+values carry the bits of the BLAS build as the roots carry LAPACK's;
 ``tests/digests.json`` records the build its digests were taken on.
 
 ``star_rows`` runs a call of more than one block on threads: STARFN_THREADS
@@ -123,6 +130,10 @@ TRIG_SCALE_MAX = 1.0e300
 #: hand-offs (voluntary context switches) with 256-row blocks and ~370 with
 #: these, and took 29 against 40 ms (medians)
 BLOCK_CELLS = 512 * 192
+#: _circle_abs2 multiplies its coefficient rows by the basis this many at a
+#: time, a lone or last group padded with zero rows, so every row takes the
+#: same gemm kernel at the same shape
+GEMM_ROWS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,14 +306,17 @@ def _circle_abs2(coef: np.ndarray, r, M: int) -> tuple[np.ndarray, np.ndarray]:
     # a_k = p_k r^k as column k of a zero-padded (2d+1, rows) array, so that
     # each sum below adds whole rows in order of k
     powers, lags, basis = _circle_tables(M, d)
-    padded = np.zeros((2 * d + 1, coef.shape[0]), dtype=complex)
+    rows = coef.shape[0]
+    padded = np.zeros((2 * d + 1, rows), dtype=complex)
     a = padded[: d + 1]
     np.multiply(coef.T, r**powers, out=a)
     scale = np.add.reduce(np.abs(a), axis=0) ** 2
     c = np.add.reduce(padded.take(lags, axis=0) * a.conj()[:, None, :], axis=0)  # (d+1, rows)
-    # one gemv per row (module docstring), on rows copied C-contiguous
-    trig = np.concatenate([c.real, c.imag[1:]]).T.copy()
-    values = np.matmul(trig[:, None, :], basis)[:, 0, :]
+    # GEMM_ROWS-row gemms on rows copied into a zero-padded stack (module docstring)
+    trig = np.zeros((rows + (-rows % GEMM_ROWS), 2 * d + 1))
+    trig[:rows, : d + 1] = c.real.T
+    trig[:rows, d + 1 :] = c.imag[1:].T
+    values = np.matmul(trig.reshape(-1, GEMM_ROWS, 2 * d + 1), basis).reshape(-1, M)[:rows]
     ok = (np.minimum.reduce(values, axis=1) >= TRIG_GATE * scale) & (scale < TRIG_SCALE_MAX)
     return values, ok
 

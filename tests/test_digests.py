@@ -7,7 +7,7 @@ route's circle samples, stars, levels and totals.  The digests must hold at
 STARFN_THREADS 1 and 2, so a change that claims to keep its outputs' bits is
 checked here rather than re-derived.
 
-The bits depend on the build: the circle values are BLAS gemv products and
+The bits depend on the build: the circle values are BLAS gemm products and
 the roots LAPACK eigenvalues, and OpenBLAS picks its kernels by CPU.  So
 ``digests.json`` records the numpy version, the BLAS and LAPACK builds and
 the CPU's SIMD extensions, as ``np.show_config`` gives them, and the check
@@ -15,6 +15,8 @@ skips, with both builds in its reason, on any other build.  After a change
 meant to move bits, rewrite the file on the recorded build with
 
     PYTHONPATH=src python tests/test_digests.py
+
+which prints each case's old digest, its new one and whether it moved.
 """
 
 import hashlib
@@ -143,6 +145,7 @@ def test_output_keeps_its_digest(name, threads, monkeypatch):
 
 
 if __name__ == "__main__":
+    old = corpus()["digests"] if CORPUS_PATH.exists() else {}
     digests = {}
     for name, case in CASES.items():
         found = set()
@@ -152,6 +155,8 @@ if __name__ == "__main__":
         if len(found) != 1:
             raise SystemExit(f"{name} differs between STARFN_THREADS 1 and 2")
         digests[name] = found.pop()
+        state = "new" if name not in old else "held" if old[name] == digests[name] else "moved"
+        print(f"{name}: {old.get(name, '-')} -> {digests[name]} {state}")
     text = json.dumps({"build": build(), "digests": digests}, indent=2)
     CORPUS_PATH.write_text(text + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {CORPUS_PATH}")

@@ -331,6 +331,9 @@ RATIONAL = parse_function(
 )
 EQUAL_DEGREES = parse_function("(1 + (0.4+0.9*i)*z1*z2 - 1.3*z2^2) / (1 - 0.8*z1 + (0.2-0.6*i)*z1^2)", 2)
 POLYNOMIAL = parse_function("1 + z1 + 2*z2 + 0.25*z1^2 + z1*z2 + z2^2", 2)
+# slices of degree 6 over 6: 13-term circle polynomials
+SEXTIC_TEXT = "(1 + z1 - 0.5*z2^2 + 0.3*z1^3*z2 + 0.2*z2^6) / (1 - 0.4*z1*z2 + 0.1*z1^6 - 0.2*z2^5)"
+SEXTIC = parse_function(SEXTIC_TEXT, 2)
 
 
 def _slice_rows(F, dirs):
@@ -410,6 +413,26 @@ def test_a_row_of_star_rows_does_not_depend_on_its_batch_or_threads(monkeypatch)
             for i in rows_picked:
                 one = star_rows(g[i : i + 1], h[i : i + 1], poles[:, i : i + 1], r, thetas, M)
                 assert np.array_equal(one[:, 0], batch[:, i])
+
+
+def test_a_row_of_star_rows_keeps_its_bits_in_a_batch_of_odd_size(monkeypatch):
+    # batches of 5, 7, 17 and 19 rows fill no whole number of _circle_abs2's
+    # GEMM_ROWS-row products, and one block holds each of them; the picked
+    # row sits first, in the middle and last.  Unpadded products of such
+    # batches change a row's bits
+    monkeypatch.setenv("STARFN_THREADS", "1")
+    dirs = sample_directions(2, 20, seed=12).directions
+    thetas = [0.4, math.pi / 2, 2.9]
+    for F in (RATIONAL, SEXTIC):
+        g, h, poles = _slice_rows(F, dirs)
+        for M in (192, 1024, 4096):
+            assert _trig_rows_ok(g[-1:], h[-1:], 1.1, M)
+            alone = star_rows(g[-1:], h[-1:], poles[:, -1:], 1.1, thetas, M)[:, 0]
+            for size in (5, 7, 17, 19):
+                for at in (0, size // 2, size - 1):
+                    order = [*range(at), 19, *range(at, size - 1)]
+                    batch = star_rows(g[order], h[order], poles[:, order], 1.1, thetas, M)
+                    assert np.array_equal(batch[:, at], alone)
 
 
 def test_star_rows_does_not_depend_on_the_block_size(monkeypatch):
@@ -504,22 +527,22 @@ def test_run_blocks_hands_out_no_block_after_one_raises(monkeypatch, threads):
     assert sorted(done) == [(lo, min(lo + 3, 40)) for lo in range(0, 40, 3)]
 
 
-# one star_rows call on degree-6 slices at M = 1024, each row's circle
-# values a 13 x 1024 BLAS gemv, large enough that OpenBLAS may thread it;
-# the child prints the output's sha256 at STARFN_THREADS 1 and 2
-_BLAS_CHILD = """
+# star_rows calls on degree-6 slices (13-term circle polynomials) at M = 1024
+# and at M = 8192, where an 8-row product (8 x 13 x 8192) is large enough
+# for OpenBLAS to thread and the 40 rows make four blocks; the child prints
+# each output's sha256 at STARFN_THREADS 1 and 2
+_BLAS_CHILD = f"""
 import hashlib, math, os
 from starfn.funcdef import parse_function
 from starfn.sphere import sample_directions
 from starfn.starcore import star_rows
-F = parse_function(
-    "(1 + z1 - 0.5*z2^2 + 0.3*z1^3*z2 + 0.2*z2^6) / (1 - 0.4*z1*z2 + 0.1*z1^6 - 0.2*z2^5)", 2
-)
-batch = sample_directions(2, 200, seed=21).slices(F)
-for threads in ("1", "2"):
-    os.environ["STARFN_THREADS"] = threads
-    out = star_rows(batch.g_coef, batch.h_coef, batch.h_logroots, 1.1, [0.4, math.pi / 2, 2.9], 1024)
-    print(hashlib.sha256(out.tobytes()).hexdigest())
+F = parse_function({SEXTIC_TEXT!r}, 2)
+for count, M in ((200, 1024), (40, 8192)):
+    batch = sample_directions(2, count, seed=21).slices(F)
+    for threads in ("1", "2"):
+        os.environ["STARFN_THREADS"] = threads
+        out = star_rows(batch.g_coef, batch.h_coef, batch.h_logroots, 1.1, [0.4, math.pi / 2, 2.9], M)
+        print(M, hashlib.sha256(out.tobytes()).hexdigest())
 """
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -528,15 +551,19 @@ def test_the_blas_thread_count_changes_no_bit_of_star_rows():
     src = str(Path(starcore.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    digests = []
+    digests = {}
     for blas_threads in ({var: "1" for var in _BLAS_THREAD_VARS}, {}):
         proc = subprocess.run(
             [sys.executable, "-c", _BLAS_CHILD], env={**env, **blas_threads},
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        digests += proc.stdout.split()
-    assert len(digests) == 4 and len(set(digests)) == 1
+        for line in proc.stdout.splitlines():
+            M, value = line.split()
+            digests.setdefault(M, []).append(value)
+    assert sorted(digests) == ["1024", "8192"]
+    for values in digests.values():
+        assert len(values) == 4 and len(set(values)) == 1
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
